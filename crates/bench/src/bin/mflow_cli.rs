@@ -1482,6 +1482,7 @@ fn run_bench_stateful(a: &Args) {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"stateful_modes\",\n");
+    json.push_str(&format!("  {},\n", mflow_bench::host_record_json()));
     json.push_str(&format!("  \"frames\": {n_frames},\n"));
     json.push_str(&format!("  \"payload_bytes\": {PAYLOAD},\n"));
     json.push_str(&format!("  \"iters_per_point\": {ITERS},\n"));

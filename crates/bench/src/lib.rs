@@ -45,6 +45,47 @@ pub fn save(name: &str, set: &SeriesSet) {
     }
 }
 
+/// The host fields a `BENCH_*.json` records next to its numbers, as
+/// JSON members without braces: `host_cores`, the build `profile`, and
+/// the `commit` measured (`git rev-parse HEAD`, suffixed `-dirty` when
+/// the working tree has uncommitted changes; `unknown` outside a git
+/// checkout).
+pub fn host_record_json() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    format!(
+        "\"host_cores\": {cores}, \"profile\": \"{profile}\", \"commit\": \"{}\"",
+        commit()
+    )
+}
+
+fn commit() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "HEAD"]) {
+        Some(head) if !head.is_empty() => {
+            let dirty = git(&["status", "--porcelain", "--untracked-files=no"])
+                .is_some_and(|s| !s.is_empty());
+            if dirty {
+                format!("{head}-dirty")
+            } else {
+                head
+            }
+        }
+        _ => "unknown".into(),
+    }
+}
+
 /// Pretty Gbps cell.
 pub fn gbps(x: f64) -> String {
     format!("{x:.2}")
@@ -69,5 +110,13 @@ mod tests {
     fn formatting() {
         assert_eq!(gbps(29.849), "29.85");
         assert_eq!(us(46_500), "46.5");
+    }
+
+    #[test]
+    fn host_record_names_cores_profile_and_commit() {
+        let rec = host_record_json();
+        assert!(rec.starts_with("\"host_cores\": "), "{rec}");
+        assert!(rec.contains("\"profile\": \""), "{rec}");
+        assert!(rec.contains("\"commit\": \""), "{rec}");
     }
 }

@@ -62,8 +62,10 @@
 //! ([`RuntimeConfig::stateful_mode`]):
 //!
 //! * **merge-before-tcp** (default, the paper's design) — the merger
-//!   applies it serially after reassembly, so it stays a single-core
-//!   bottleneck exactly like the kernel's in-order TCP receive.
+//!   applies it serially after reassembly, to each result as the merge
+//!   engine releases it, so it stays a single-core stage exactly like
+//!   the kernel's in-order TCP receive but overlaps the parallel worker
+//!   stages instead of running after them.
 //! * **scr** (state-compute replication) — every lane applies it to the
 //!   packets it processes, and the merger becomes a *reconciler*
 //!   ([`mflow::ScrReconciler`]): a per-stream seq watermark that emits
@@ -382,7 +384,9 @@ pub struct RunOutput {
     /// stateful pass. This is the quantity state-compute replication
     /// exists to shrink, and unlike wall-clock it reads the same no
     /// matter how many host cores the worker threads actually share.
-    /// (Zero for serial runs, which have no merge stage.)
+    /// Timed exactly (one clock pair per drain, restore replay, flush
+    /// and final assembly), so it never exceeds `elapsed` on a benign
+    /// run. (Zero for serial runs, which have no merge stage.)
     pub stateful_serial_ns: u64,
     /// What the merger flushed past instead of waiting forever (the
     /// `flushed` counter is this list's length): micro-flow IDs under
@@ -631,12 +635,29 @@ impl MergeRx {
             }
         }
     }
+
+    /// Appends results that are already waiting — queued in the mpsc
+    /// channel, or refilled into the mux's scratch queue — until `batch`
+    /// holds `max`. Never blocks.
+    fn drain_buffered(&mut self, batch: &mut Vec<Merged>, max: usize) {
+        while batch.len() < max {
+            let next = match self {
+                MergeRx::Mpsc(rx) => rx.try_recv().ok(),
+                MergeRx::Ring(mux) => mux.try_recv_buffered(),
+            };
+            match next {
+                Some(item) => batch.push(item),
+                None => break,
+            }
+        }
+    }
 }
 
-/// Sampling interval for the merger's serial-stage busy clock: one in
-/// this many offers is timed and weighted by the interval (see
-/// [`MergerState::apply`]).
-const SERIAL_NS_SAMPLE: u64 = 64;
+/// Most offers one merger drain takes after its blocking receive: the
+/// heartbeat bump, `recvd` add and WAL append are paid once per drain.
+/// A drain also stops at the next checkpoint boundary, so the delta log
+/// never outgrows one checkpoint window.
+const MERGE_DRAIN_MAX: usize = 256;
 
 /// The merger's ordering engine. The variant is fixed for the whole run
 /// (it is part of the policy/fault configuration, not of the mutable
@@ -671,7 +692,13 @@ struct MergerState {
     ooo: u64,
     /// Replicated stateful transitions observed (SCR only).
     replicated: u64,
-    /// Busy nanoseconds of the serial merge/reconcile stage.
+    /// Rounds of the serial stateful stage applied to every released
+    /// result (merge-before-tcp's `stateful_work`; 0 under SCR, whose
+    /// lanes already ran it).
+    stage_units: u32,
+    /// Busy nanoseconds of the serial merge/reconcile stage, stateful
+    /// pass included. Callers clock whole drains, restore replays and
+    /// flushes into it, so it counts every offer exactly once.
     serial_ns: u64,
     /// Offers applied so far — the WAL's logical clock: checkpoint
     /// boundaries and injected merger faults are expressed in it.
@@ -679,7 +706,7 @@ struct MergerState {
 }
 
 impl MergerState {
-    fn new(use_counter: bool, scr: bool) -> Self {
+    fn new(use_counter: bool, scr: bool, stateful_work: u32) -> Self {
         let engine = if !use_counter {
             MergeEngine::Passthrough
         } else if scr {
@@ -693,22 +720,28 @@ impl MergerState {
             max_seen: None,
             ooo: 0,
             replicated: 0,
+            stage_units: if scr { 0 } else { stateful_work },
             serial_ns: 0,
             offers: 0,
         }
     }
 
-    /// Applies one received offer: counters, then the engine. Identical
-    /// whether the offer arrives live or replays from the delta log.
-    ///
-    /// `serial_ns` is sampled, not exhaustively timed: clocking every
-    /// offer puts two clock reads on the per-packet merge path, which at
-    /// pooled zero-copy rates costs more than the engine work it
-    /// measures. Every [`SERIAL_NS_SAMPLE`]th offer is timed and
-    /// weighted by the interval — the busy-time comparisons that
-    /// consume `serial_ns` (scr vs merge-before-tcp) aggregate
-    /// thousands of uniform offers per point, where the sampled
-    /// estimate converges on the exhaustive one.
+    /// Runs the serial stateful stage over `out[from..]`, the results an
+    /// engine call just released. Every release path ends here, so live
+    /// offers, WAL replay and final assembly all emit staged output, and
+    /// `out` — like the durable prefix checkpointed from it — only ever
+    /// holds staged results.
+    fn stage_released(&self, out: &mut [PacketResult], from: usize) {
+        if self.stage_units > 0 {
+            for r in &mut out[from..] {
+                *r = stateful_stage(*r, self.stage_units);
+            }
+        }
+    }
+
+    /// Applies one received offer: counters, the engine, then the
+    /// stateful stage on whatever the engine released. Identical whether
+    /// the offer arrives live or replays from the delta log.
     fn apply(&mut self, tag: MfTag, result: PacketResult, out: &mut Vec<PacketResult>) {
         self.offers += 1;
         if self.scr {
@@ -720,7 +753,7 @@ impl MergerState {
             }
         }
         self.max_seen = Some(self.max_seen.map_or(result.seq, |m| m.max(result.seq)));
-        let t = self.offers.is_multiple_of(SERIAL_NS_SAMPLE).then(Instant::now);
+        let from = out.len();
         match &mut self.engine {
             MergeEngine::Passthrough => out.push(result),
             MergeEngine::Counter(mc) => {
@@ -730,16 +763,12 @@ impl MergerState {
                 rc.offer(result.seq, result.seq + 1, result, out);
             }
         }
-        if let Some(t) = t {
-            if !matches!(self.engine, MergeEngine::Passthrough) {
-                self.serial_ns += t.elapsed().as_nanos() as u64 * SERIAL_NS_SAMPLE;
-            }
-        }
+        self.stage_released(out, from);
     }
 
     /// Flushes the single most-stalled head (receive-timeout path).
     fn flush_one(&mut self, out: &mut Vec<PacketResult>) {
-        let t = Instant::now();
+        let from = out.len();
         match &mut self.engine {
             MergeEngine::Passthrough => {}
             MergeEngine::Counter(mc) => {
@@ -749,12 +778,12 @@ impl MergerState {
                 rc.flush_one(out);
             }
         }
-        self.serial_ns += t.elapsed().as_nanos() as u64;
+        self.stage_released(out, from);
     }
 
     /// End-of-stream flush of everything still parked.
     fn flush_stalled(&mut self, out: &mut Vec<PacketResult>) {
-        let t = Instant::now();
+        let from = out.len();
         match &mut self.engine {
             MergeEngine::Passthrough => {}
             MergeEngine::Counter(mc) => {
@@ -764,6 +793,11 @@ impl MergerState {
                 rc.flush_stalled(out);
             }
         }
+        self.stage_released(out, from);
+    }
+
+    /// Adds the time since `t` to the serial-stage busy clock.
+    fn charge(&mut self, t: Instant) {
         self.serial_ns += t.elapsed().as_nanos() as u64;
     }
 
@@ -810,9 +844,10 @@ impl MergerState {
 /// offer is journaled *before* the (possibly fatal) processing step.
 struct MergerDurable {
     snapshot: MergerState,
-    /// Delivered results as of the last checkpoint — always a strict
-    /// prefix of the live incarnation's output, extended (never cloned)
-    /// at each checkpoint so the whole run costs O(delivered) total.
+    /// Delivered (already staged) results as of the last checkpoint —
+    /// always a strict prefix of the live incarnation's output, extended
+    /// (never cloned) at each checkpoint so the whole run costs
+    /// O(delivered) total.
     out: Vec<PacketResult>,
     /// Offers received since the last checkpoint, in arrival order.
     delta: Vec<Merged>,
@@ -847,11 +882,11 @@ struct MergerShared {
 }
 
 impl MergerShared {
-    fn new(rx: MergeRx, use_counter: bool, scr: bool) -> Self {
+    fn new(rx: MergeRx, use_counter: bool, scr: bool, stateful_work: u32) -> Self {
         Self {
             rx_slot: Mutex::new(Some(rx)),
             durable: Mutex::new(MergerDurable {
-                snapshot: MergerState::new(use_counter, scr),
+                snapshot: MergerState::new(use_counter, scr, stateful_work),
                 out: Vec::new(),
                 delta: Vec::new(),
                 snapshot_bytes: 0,
@@ -932,7 +967,8 @@ fn merger_checkpoint(shared: &MergerShared, state: &MergerState, out: &[PacketRe
 
 /// The body of one merger incarnation. Waits for the receiver lease,
 /// restores from the durable block (snapshot + delta replay), then runs
-/// the receive loop: journal, fault checks, apply, periodic checkpoint.
+/// the receive loop: drain, journal, then per offer fault checks, apply
+/// (which stages released results) and periodic checkpoint.
 #[allow(clippy::too_many_arguments)]
 fn merger_loop(
     shared: &MergerShared,
@@ -959,56 +995,88 @@ fn merger_loop(
     };
     // Restore strictly *after* taking the lease: only then is the delta
     // log guaranteed quiescent (a superseded-but-running predecessor may
-    // journal one more offer right up to releasing the receiver).
+    // journal one more drain right up to releasing the receiver). A
+    // restore that replayed anything checkpoints at once, so the next
+    // window starts empty and no restore ever replays more than one.
     let (mut state, mut out) = {
         let mut d = shared.durable();
+        let t = Instant::now();
         let mut state = d.snapshot.clone();
         let mut out = d.out.clone();
         for i in 0..d.delta.len() {
             let (tag, result) = d.delta[i];
             state.apply(tag, result, &mut out);
         }
+        state.charge(t);
+        let replayed = d.delta.len() as u64;
         if incarnation > 0 {
             d.restores += 1;
-            d.replayed += d.delta.len() as u64;
+            d.replayed += replayed;
             faults.note(FaultEvent::SnapshotRestore { incarnation });
+        }
+        drop(d);
+        if replayed > 0 {
+            merger_checkpoint(shared, &state, &out);
         }
         (state, out)
     };
+    let mut batch: Vec<Merged> = Vec::new();
     loop {
         if shared.gen.load(Ordering::Acquire) != my_gen {
             lease.clean = true; // superseded: hand over, not a death
             return;
         }
         match lease.rx().recv(flush_timeout) {
-            MergeRecv::Item((tag, result)) => {
+            MergeRecv::Item(first) => {
+                // Take whatever else is already buffered, up to the drain
+                // cap and never past the next checkpoint boundary. The
+                // whole drain is journaled before any of it is applied, so
+                // a checkpoint mid-drain would clear journaled offers not
+                // yet applied, and a kill after it would lose them.
+                let max = if wal_on {
+                    let to_boundary = checkpoint_every - state.offers % checkpoint_every;
+                    MERGE_DRAIN_MAX.min(to_boundary as usize)
+                } else {
+                    MERGE_DRAIN_MAX
+                };
+                batch.clear();
+                batch.push(first);
+                lease.rx().drain_buffered(&mut batch, max);
                 beats.bump(merger_slot);
-                shared.recvd.fetch_add(1, Ordering::Relaxed);
+                shared
+                    .recvd
+                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
                 // Journal before any processing: once in the WAL the
-                // offer survives this incarnation's death — including
-                // the injected one two lines down.
+                // drain survives this incarnation's death — including
+                // the injected one below.
                 if wal_on {
-                    shared.durable().delta.push((tag, result));
+                    shared.durable().delta.extend_from_slice(&batch);
                 }
-                let offer_no = state.offers + 1;
-                if faults.merger_kill_fires(incarnation, offer_no) {
-                    faults.note(FaultEvent::MergerDeath { incarnation });
-                    panic!("injected merger death (incarnation {incarnation})");
-                }
-                if let Some(ms) = faults.merger_stall_fires(offer_no) {
-                    faults.note(FaultEvent::MergerStall { offers: offer_no });
-                    thread::sleep(Duration::from_millis(ms));
-                    if shared.gen.load(Ordering::Acquire) != my_gen {
-                        // Superseded while wedged. The offer is already
-                        // journaled; the successor replays it.
-                        lease.clean = true;
-                        return;
+                let mut t = Instant::now();
+                for &(tag, result) in &batch {
+                    let offer_no = state.offers + 1;
+                    if faults.merger_kill_fires(incarnation, offer_no) {
+                        faults.note(FaultEvent::MergerDeath { incarnation });
+                        panic!("injected merger death (incarnation {incarnation})");
+                    }
+                    if let Some(ms) = faults.merger_stall_fires(offer_no) {
+                        faults.note(FaultEvent::MergerStall { offers: offer_no });
+                        state.charge(t);
+                        thread::sleep(Duration::from_millis(ms));
+                        if shared.gen.load(Ordering::Acquire) != my_gen {
+                            // Superseded while wedged. The drain is
+                            // already journaled; the successor replays it.
+                            lease.clean = true;
+                            return;
+                        }
+                        t = Instant::now();
+                    }
+                    state.apply(tag, result, &mut out);
+                    if wal_on && state.offers % checkpoint_every == 0 {
+                        merger_checkpoint(shared, &state, &out);
                     }
                 }
-                state.apply(tag, result, &mut out);
-                if wal_on && state.offers % checkpoint_every == 0 {
-                    merger_checkpoint(shared, &state, &out);
-                }
+                state.charge(t);
             }
             MergeRecv::Timeout => {
                 // An expired recv deadline proves this incarnation is
@@ -1019,7 +1087,9 @@ fn merger_loop(
                 // merger once per heartbeat deadline until the shared
                 // restart budget is gone.
                 beats.bump(merger_slot);
+                let t = Instant::now();
                 state.flush_one(&mut out);
+                state.charge(t);
             }
             MergeRecv::Disconnected => break,
         }
@@ -1891,7 +1961,7 @@ pub fn process_parallel_faulty(
     // Stateful-stage placement: under SCR the lanes (and every degraded
     // path that stands in for a lane — chain-local completion, inline
     // processing) apply the stage; under merge-before-tcp the merger
-    // does, serially, after reassembly.
+    // does, serially, on each result reassembly releases.
     let scr = cfg.stateful_mode == StatefulMode::StateComputeReplication;
     let sw = cfg.stateful_work;
     let scr_work = if scr { Some(sw) } else { None };
@@ -1949,7 +2019,7 @@ pub fn process_parallel_faulty(
     let checkpoint_every = cfg.checkpoint_every;
     let merger_depth = cfg.merger_depth;
     let merger_slot = n_threads;
-    let shared_store = MergerShared::new(merge_rx, use_counter, scr);
+    let shared_store = MergerShared::new(merge_rx, use_counter, scr, sw);
     let shared = &shared_store;
     // Per-lane queue depths, the watermark signal for backpressure.
     let depths: Vec<AtomicUsize> = (0..n_lanes).map(|_| AtomicUsize::new(0)).collect();
@@ -2555,8 +2625,8 @@ pub fn process_parallel_faulty(
     // the last snapshot, replay whatever the delta log still holds (the
     // serial-merge degradation path — empty after any clean merger EOS),
     // drain transport residue a non-blocking pump may have left (every
-    // producer is gone, so this terminates), then flush and run the
-    // serial stateful stage exactly as the merger always has.
+    // producer is gone, so this terminates), then flush. `MergerState`
+    // stages every result it releases, so `out` is final as is.
     let MergerShared {
         rx_slot, durable, ..
     } = shared_store;
@@ -2568,6 +2638,7 @@ pub fn process_parallel_faulty(
     }
     let mut state = dur.snapshot;
     let mut out = dur.out;
+    let t = Instant::now();
     for (tag, result) in dur.delta {
         state.apply(tag, result, &mut out);
     }
@@ -2581,18 +2652,8 @@ pub fn process_parallel_faulty(
     if flush_timeout.is_some() || faults.is_active() || supervised {
         state.flush_stalled(&mut out);
     }
+    state.charge(t);
     let flushed_mfs = state.flushed_list();
-    // The serial stateful stage proper: merge-before-tcp pays it here,
-    // after reassembly, packet by packet in order — timed into the same
-    // serial_ns the incarnations accumulated, so the counter spans
-    // merger respawns. (Under SCR the lanes already ran the stage.)
-    if !scr {
-        let t = Instant::now();
-        for r in &mut out {
-            *r = stateful_stage(*r, sw);
-        }
-        state.serial_ns += t.elapsed().as_nanos() as u64;
-    }
     let mstats = state.stats();
     let digests = out;
 
@@ -3357,6 +3418,121 @@ mod tests {
                     assert!(out.telemetry.merger_restarts >= 1, "{policy}");
                 }
                 assert_eq!(out.telemetry.residue, 0, "{policy} ({transport:?})");
+            }
+        }
+    }
+
+    #[test]
+    fn merger_busy_clock_never_exceeds_wall_time() {
+        // The serial-stage clock times disjoint stretches of one thread at
+        // a time (drains, restores, flushes, final assembly), so on a
+        // benign run it can never read more than the run's wall time.
+        let frames = generate_frames(20_000, 64);
+        for stateful_mode in StatefulMode::ALL {
+            for transport in TRANSPORTS {
+                let cfg = RuntimeConfig {
+                    workers: 2,
+                    batch_size: 32,
+                    transport,
+                    stateful_mode,
+                    stateful_work: 64,
+                    ..RuntimeConfig::default()
+                };
+                let out = process_parallel(&frames, &cfg).unwrap();
+                assert_eq!(
+                    out.digests,
+                    process_serial_stateful(&frames, 64).digests,
+                    "{stateful_mode:?}/{transport:?}"
+                );
+                assert!(
+                    out.stateful_serial_ns > 0,
+                    "{stateful_mode:?}/{transport:?}"
+                );
+                assert!(
+                    u128::from(out.stateful_serial_ns) <= out.elapsed.as_nanos(),
+                    "merger busy {} ns > wall {:?} ({stateful_mode:?}/{transport:?})",
+                    out.stateful_serial_ns,
+                    out.elapsed
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn replay_stays_within_one_window_when_the_interval_does_not_divide_the_drain() {
+        // Checkpoint intervals that do not divide the drain cap: every
+        // drain must stop at the boundary, or a kill journals offers no
+        // checkpoint covers and the successor replays past one window.
+        // The second and third kills fire on their incarnation's first
+        // live offer, right after a restore, which is where a restore
+        // that did not checkpoint would carry its replayed window into
+        // the next one. `merger_depth` dwarfs the stream so the backlog
+        // pump (which legitimately journals unbounded bursts) never
+        // engages.
+        let frames = generate_frames(2_000, 32);
+        let mut faults = RuntimeFaults::none();
+        faults.merger_kills = (0..3)
+            .map(|incarnation| MergerKill {
+                after_offers: 100 + incarnation,
+                incarnation,
+            })
+            .collect();
+        for checkpoint_every in [7, 1] {
+            for stateful_mode in StatefulMode::ALL {
+                for transport in TRANSPORTS {
+                    let cfg = RuntimeConfig {
+                        merger_depth: 8192,
+                        stateful_mode,
+                        stateful_work: 8,
+                        heartbeat_interval_ms: Some(1_000),
+                        checkpoint_every,
+                        ..merger_test_cfg(transport)
+                    };
+                    let at = format!("every {checkpoint_every}, {stateful_mode:?}/{transport:?}");
+                    let benign = process_parallel(&frames, &cfg).unwrap();
+                    let killed = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+                    assert_eq!(killed.digests, benign.digests, "{at}");
+                    assert!(killed.merger_deaths >= 1, "{at}");
+                    let t = &killed.telemetry;
+                    assert!(t.restore_replayed_offers >= 1, "{at}");
+                    assert!(
+                        t.restore_replayed_offers <= checkpoint_every * (t.merger_restarts + 1),
+                        "replayed {} offers over {} restarts ({at})",
+                        t.restore_replayed_offers,
+                        t.merger_restarts
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn journaled_backlog_is_staged_by_final_assembly() {
+        // No respawn is coming (unsupervised, or no budget): the backlog
+        // is journaled and final assembly merges it. Under
+        // merge-before-tcp that replay is also where those results go
+        // through the serial stateful stage, so the stream must still
+        // equal the serial stateful reference.
+        let frames = generate_frames(2_000, 32);
+        let serial = process_serial_stateful(&frames, 16);
+        let mut faults = RuntimeFaults::none();
+        faults.merger_kill = Some(MergerKill {
+            after_offers: 50,
+            incarnation: 0,
+        });
+        for heartbeat_interval_ms in [None, Some(25)] {
+            for transport in TRANSPORTS {
+                let cfg = RuntimeConfig {
+                    restart_budget: 0,
+                    heartbeat_interval_ms,
+                    stateful_work: 16,
+                    ..merger_test_cfg(transport)
+                };
+                let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+                let at = format!("heartbeat {heartbeat_interval_ms:?}, {transport:?}");
+                assert_eq!(out.digests, serial.digests, "{at}");
+                assert_eq!(out.merger_deaths, 1, "{at}");
+                assert!(out.telemetry.restore_replayed_offers >= 50, "{at}");
             }
         }
     }

@@ -535,6 +535,12 @@ impl<T> RingMux<T> {
         }
     }
 
+    /// Pops one item a previous refill already moved into the scratch
+    /// queue, without touching the rings: never blocks, never sweeps.
+    pub fn try_recv_buffered(&mut self) -> Option<T> {
+        self.scratch.pop_front()
+    }
+
     /// Absorbs any consumers queued by a [`MuxRegistrar`] into the
     /// round-robin set.
     fn absorb_pending(&mut self) {
@@ -847,6 +853,21 @@ mod tests {
         assert_eq!(mux.recv_deadline(deadline), Err(MuxRecvError::Timeout));
         txs[0].try_push(42).expect("space");
         assert_eq!(mux.recv_deadline(None), Ok(42));
+        drop(txs);
+        assert_eq!(mux.recv_deadline(None), Err(MuxRecvError::Disconnected));
+    }
+
+    #[test]
+    fn buffered_pop_returns_only_what_a_refill_moved() {
+        let (mut txs, mut mux) = ring_mux::<u32>(1, 8);
+        // Nothing refilled yet: the buffered pop must not sweep the ring.
+        txs[0].push_all([1, 2, 3]).expect("mux alive");
+        assert_eq!(mux.try_recv_buffered(), None);
+        // The blocking receive refills the whole published stretch.
+        assert_eq!(mux.recv_deadline(None), Ok(1));
+        assert_eq!(mux.try_recv_buffered(), Some(2));
+        assert_eq!(mux.try_recv_buffered(), Some(3));
+        assert_eq!(mux.try_recv_buffered(), None);
         drop(txs);
         assert_eq!(mux.recv_deadline(None), Err(MuxRecvError::Disconnected));
     }
