@@ -1140,6 +1140,7 @@ fn run_bench_transport(a: &Args) {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"runtime_parallel\",\n");
+    json.push_str(&format!("  {},\n", mflow_bench::host_record_json()));
     json.push_str(&format!("  \"frames\": {n_frames},\n"));
     json.push_str(&format!("  \"payload_bytes\": {PAYLOAD},\n"));
     json.push_str(&format!("  \"bytes_per_run\": {bytes},\n"));
@@ -1309,6 +1310,7 @@ fn run_bench_policy(a: &Args) {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"policy_compare\",\n");
+    json.push_str(&format!("  {},\n", mflow_bench::host_record_json()));
     json.push_str(&format!("  \"frames\": {n_frames},\n"));
     json.push_str(&format!("  \"payload_bytes\": {PAYLOAD},\n"));
     json.push_str(&format!("  \"bytes_per_run\": {bytes},\n"));

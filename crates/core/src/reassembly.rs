@@ -87,7 +87,7 @@ impl MergeStats {
 }
 
 /// What the merger knows about one in-flight micro-flow.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct MfEntry {
     /// Lane (buffer queue) collecting the micro-flow. Learned on first
     /// arrival; the real kernel reads it from the skb control block.
@@ -109,7 +109,7 @@ struct MfEntry {
 /// successors; skipped IDs are recorded in [`MergeCounter::flushed_ids`].
 /// Late and duplicate arrivals are rejected with a recoverable [`Offer`]
 /// outcome rather than an assertion.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MergeCounter<T> {
     lanes: BTreeMap<usize, VecDeque<(MfTag, T)>>,
     counter: u64,
@@ -279,6 +279,96 @@ impl<T> MergeCounter<T> {
             self.offers_since_release = 0;
         }
         Offer::Accepted
+    }
+
+    /// Offers a run of tagged items; `out` and every counter end up
+    /// exactly as if each item had been [`offer`](Self::offer)ed in turn.
+    ///
+    /// The run is split where `(id, lane)` changes. A piece that belongs
+    /// to the counter's micro-flow, arriving on an empty lane queue, goes
+    /// straight to `out`; a piece of a later micro-flow that cannot reach
+    /// the flush deadline is parked with one table update. Late,
+    /// duplicate and deadline cases take the per-item path.
+    pub fn offer_run(&mut self, run: &[(MfTag, T)], out: &mut Vec<T>)
+    where
+        T: Clone,
+    {
+        let mut rest = run;
+        while let Some(&(head, _)) = rest.first() {
+            let len = rest
+                .iter()
+                .position(|(t, _)| t.id != head.id || t.lane != head.lane)
+                .unwrap_or(rest.len());
+            let (piece, tail) = rest.split_at(len);
+            self.offer_piece(piece, out);
+            rest = tail;
+        }
+    }
+
+    /// [`offer_run`](Self::offer_run) for one non-empty piece sharing
+    /// `(id, lane)`.
+    fn offer_piece(&mut self, piece: &[(MfTag, T)], out: &mut Vec<T>)
+    where
+        T: Clone,
+    {
+        let (tag, _) = piece[0];
+        let (open, closer) = match piece.split_last() {
+            Some((last, front)) if last.0.last => (front, Some(last)),
+            _ => (piece, None),
+        };
+        let collectable = tag.id >= self.counter
+            && !open.iter().any(|(t, _)| t.last)
+            && self
+                .mf_lane
+                .get(&tag.id)
+                .is_none_or(|e| !e.closed && e.lane == tag.lane);
+        let n = piece.len() as u64;
+        if collectable && tag.id == self.counter && !open.is_empty() {
+            let q = self.lanes.entry(tag.lane).or_default();
+            if q.is_empty() {
+                // Every open item releases on arrival: nothing of this
+                // micro-flow is parked ahead of it, and none closes it.
+                self.mf_lane.entry(tag.id).or_insert(MfEntry {
+                    lane: tag.lane,
+                    closed: false,
+                });
+                out.extend(open.iter().map(|(_, item)| item.clone()));
+                self.released += open.len() as u64;
+                self.offers_since_release = 0;
+                if let Some((t, item)) = closer {
+                    self.offer(*t, item.clone(), out);
+                }
+                return;
+            }
+        } else if collectable
+            && tag.id > self.counter
+            && self
+                .flush_after_offers
+                .is_none_or(|d| self.offers_since_release + n < d)
+        {
+            // A later micro-flow: nothing it brings can release (the
+            // counter's micro-flow is not among it), so each item would
+            // only park and tick the stall clock — which cannot reach
+            // the deadline within this piece.
+            let closed = closer.is_some();
+            self.mf_lane
+                .entry(tag.id)
+                .and_modify(|e| e.closed = closed)
+                .or_insert(MfEntry {
+                    lane: tag.lane,
+                    closed,
+                });
+            self.lanes
+                .entry(tag.lane)
+                .or_default()
+                .extend(piece.iter().cloned());
+            self.buffered += piece.len();
+            self.offers_since_release += n;
+            return;
+        }
+        for (t, item) in piece {
+            self.offer(*t, item.clone(), out);
+        }
     }
 
     /// Advances the stall clock by one offer, force-flushing when the

@@ -146,6 +146,7 @@ pub fn build_overlay_frame(spec: &OverlayFrameSpec) -> Vec<u8> {
 pub fn build_overlay_frame_into(spec: &OverlayFrameSpec, out: &mut Vec<u8>) {
     let mut tunnel_payload = Vec::new();
     VxlanHeader::new(spec.vni).encode(&mut tunnel_payload);
+    tunnel_payload.extend_from_slice(&build_inner(spec));
     encapsulate_into(spec, VXLAN_PORT, tunnel_payload, out);
 }
 
@@ -161,20 +162,18 @@ pub fn build_geneve_frame(spec: &OverlayFrameSpec) -> Vec<u8> {
 pub fn build_geneve_frame_into(spec: &OverlayFrameSpec, out: &mut Vec<u8>) {
     let mut tunnel_payload = Vec::new();
     GeneveHeader::new(spec.vni).encode(&mut tunnel_payload);
+    tunnel_payload.extend_from_slice(&build_inner(spec));
     encapsulate_into(spec, GENEVE_PORT, tunnel_payload, out);
 }
 
-/// Wraps the inner frame in outer Ethernet/IPv4/UDP around the given
-/// tunnel header bytes, writing the wire frame into `out`.
+/// Wraps `tunnel_payload` (tunnel header plus inner frame) in outer
+/// Ethernet/IPv4/UDP, writing the wire frame into `frame`.
 fn encapsulate_into(
     spec: &OverlayFrameSpec,
     dst_port: u16,
-    mut tunnel_payload: Vec<u8>,
+    tunnel_payload: Vec<u8>,
     frame: &mut Vec<u8>,
 ) {
-    let inner = build_inner(spec);
-    tunnel_payload.extend_from_slice(&inner);
-
     frame.clear();
     frame.reserve(EthernetHeader::LEN + Ipv4Header::LEN + UdpHeader::LEN + tunnel_payload.len());
     EthernetHeader {
@@ -306,15 +305,21 @@ pub fn parse_overlay_frame_ref(frame: &[u8]) -> Result<ParsedOverlayRef<'_>, Par
         _ => return Err(ParseError::Malformed("tunnel port")),
     };
 
-    let (inner_eth, rest) = EthernetHeader::parse(inner)?;
+    let (inner_eth, ip_bytes) = EthernetHeader::parse(inner)?;
     if inner_eth.ethertype != EtherType::Ipv4 {
         return Err(ParseError::Malformed("inner ethertype"));
     }
-    let (inner_ip, rest) = Ipv4Header::parse(rest)?;
+    let (inner_ip, rest) = Ipv4Header::parse(ip_bytes)?;
     let (inner_flow, tcp_seq, payload) = match inner_ip.protocol {
         PROTO_TCP => {
-            let (tcp, payload) = TcpHeader::parse(rest)?;
-            if !tcp.verify(inner_ip.src, inner_ip.dst, payload) {
+            // The segment is what the IP total length says it is: the
+            // checksum covers exactly those bytes, options included.
+            let header_len = ip_bytes.len() - rest.len();
+            let segment = rest
+                .get(..inner_ip.total_len as usize - header_len)
+                .ok_or(ParseError::Truncated)?;
+            let (tcp, payload) = TcpHeader::parse(segment)?;
+            if !TcpHeader::verify_segment(inner_ip.src, inner_ip.dst, segment) {
                 return Err(ParseError::BadChecksum("inner tcp"));
             }
             (
@@ -373,6 +378,43 @@ mod tests {
         assert_eq!(parsed.payload, b"payload bytes");
         assert_eq!(parsed.inner_flow, FlowKey::from(&spec));
         assert_eq!(parsed.outer_flow.dst_port, VXLAN_PORT);
+    }
+
+    #[test]
+    fn tcp_segment_with_options_parses() {
+        // Real Linux TCP carries a timestamp option on nearly every
+        // segment; the inner checksum must cover the options and the
+        // urgent pointer as received.
+        let spec = OverlayFrameSpec::example_tcp(5, 0, Vec::new());
+        let payload = b"timestamped payload";
+        let seg = crate::tcp::segment_with_options(spec.inner_src_ip, spec.inner_dst_ip, payload);
+        let frame_with = |seg: &[u8]| {
+            let mut tunnel = Vec::new();
+            VxlanHeader::new(spec.vni).encode(&mut tunnel);
+            EthernetHeader {
+                dst: spec.inner_dst_mac,
+                src: spec.inner_src_mac,
+                ethertype: EtherType::Ipv4,
+            }
+            .encode(&mut tunnel);
+            Ipv4Header::simple(spec.inner_src_ip, spec.inner_dst_ip, PROTO_TCP, seg.len())
+                .encode(&mut tunnel);
+            tunnel.extend_from_slice(seg);
+            let mut frame = Vec::new();
+            encapsulate_into(&spec, VXLAN_PORT, tunnel, &mut frame);
+            frame
+        };
+        let frame = frame_with(&seg);
+        let parsed = parse_overlay_frame_ref(&frame).unwrap();
+        assert_eq!(parsed.payload, payload);
+        assert_eq!(parsed.tcp_seq, 0x1234_5678);
+        // A flipped option byte is caught by the inner TCP checksum.
+        let mut bad = seg;
+        bad[25] ^= 0x40;
+        assert_eq!(
+            parse_overlay_frame_ref(&frame_with(&bad)).unwrap_err(),
+            ParseError::BadChecksum("inner tcp")
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! TCP header with pseudo-header checksum (no options beyond what the
-//! simulator needs; window scale is applied out of band by the stack model).
+//! TCP header with pseudo-header checksum. Built headers carry no
+//! options (window scale is applied out of band by the stack model);
+//! parsing skips received options, and checksum verification covers them.
 
 use crate::checksum;
 use crate::ipv4::PROTO_TCP;
@@ -14,7 +15,9 @@ pub mod flags {
     pub const ACK: u8 = 0x10;
 }
 
-/// A TCP header (data offset fixed at 5 words, no options).
+/// A TCP header's fixed fields. Encoding writes data offset 5 (no
+/// options); [`TcpHeader::parse`] accepts larger offsets and skips the
+/// options.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TcpHeader {
     pub src_port: u16,
@@ -97,28 +100,17 @@ impl TcpHeader {
         ))
     }
 
-    /// Verifies the checksum of header + payload against the pseudo-header.
-    ///
-    /// Allocation-free: the header's wire words are folded straight into
-    /// the running sum (they are the same big-endian u16s `encode` would
-    /// emit — including the `data offset | flags` word and the zero
-    /// urgent pointer), and the payload is summed in place. The header
-    /// is an even number of bytes, so the payload's word alignment is
-    /// unchanged.
-    pub fn verify(&self, src_ip: [u8; 4], dst_ip: [u8; 4], payload: &[u8]) -> bool {
-        let len = (Self::LEN + payload.len()) as u16;
+    /// Verifies the checksum of a received segment — the header as it
+    /// arrived (options, urgent pointer and all) plus the payload —
+    /// against the pseudo-header. Allocation-free: one pass over the
+    /// segment bytes in place. A segment too long for the pseudo-header's
+    /// 16-bit length fails.
+    pub fn verify_segment(src_ip: [u8; 4], dst_ip: [u8; 4], segment: &[u8]) -> bool {
+        let Ok(len) = u16::try_from(segment.len()) else {
+            return false;
+        };
         let pseudo = checksum::pseudo_header_sum(src_ip, dst_ip, PROTO_TCP, len);
-        let header = pseudo
-            + self.src_port as u32
-            + self.dst_port as u32
-            + (self.seq >> 16)
-            + (self.seq & 0xFFFF)
-            + (self.ack >> 16)
-            + (self.ack & 0xFFFF)
-            + (((5u32 << 4) << 8) | self.flags as u32)
-            + self.window as u32
-            + self.checksum as u32;
-        checksum::ones_complement_sum(payload, header) == 0xFFFF
+        checksum::ones_complement_sum(segment, pseudo) == 0xFFFF
     }
 
     /// True if the ACK flag is set.
@@ -127,12 +119,45 @@ impl TcpHeader {
     }
 }
 
+/// A segment as a Linux sender emits it: data offset 8, a 12-byte
+/// timestamp option (NOP, NOP, TS), URG with a nonzero urgent pointer,
+/// and a valid checksum.
+#[cfg(test)]
+pub(crate) fn segment_with_options(src_ip: [u8; 4], dst_ip: [u8; 4], payload: &[u8]) -> Vec<u8> {
+    let mut seg = Vec::with_capacity(32 + payload.len());
+    seg.extend_from_slice(&40000u16.to_be_bytes());
+    seg.extend_from_slice(&5201u16.to_be_bytes());
+    seg.extend_from_slice(&0x1234_5678u32.to_be_bytes());
+    seg.extend_from_slice(&0x9abc_def0u32.to_be_bytes());
+    seg.push(8 << 4);
+    seg.push(flags::ACK | flags::PSH | 0x20);
+    seg.extend_from_slice(&502u16.to_be_bytes());
+    seg.extend_from_slice(&[0, 0]); // checksum, filled below
+    seg.extend_from_slice(&0x0102u16.to_be_bytes()); // urgent pointer
+    seg.extend_from_slice(&[1, 1, 8, 10]); // NOP, NOP, timestamp kind/len
+    seg.extend_from_slice(&0x0a0b_0c0du32.to_be_bytes());
+    seg.extend_from_slice(&0x0102_0304u32.to_be_bytes());
+    seg.extend_from_slice(payload);
+    let pseudo = checksum::pseudo_header_sum(src_ip, dst_ip, PROTO_TCP, seg.len() as u16);
+    let ck = checksum::finish(checksum::ones_complement_sum(&seg, pseudo));
+    seg[16..18].copy_from_slice(&ck.to_be_bytes());
+    seg
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const SRC: [u8; 4] = [172, 17, 0, 2];
     const DST: [u8; 4] = [172, 17, 0, 3];
+
+    /// `h` encoded in front of `payload`: the segment as sent.
+    fn segment(h: &TcpHeader, payload: &[u8]) -> Vec<u8> {
+        let mut seg = Vec::new();
+        h.encode(&mut seg);
+        seg.extend_from_slice(payload);
+        seg
+    }
 
     #[test]
     fn roundtrip_and_verify() {
@@ -154,7 +179,8 @@ mod tests {
         let (parsed, rest) = TcpHeader::parse(&buf).unwrap();
         assert_eq!(parsed, h);
         assert!(rest.is_empty());
-        assert!(parsed.verify(SRC, DST, &payload));
+        let seg = segment(&parsed, &payload);
+        assert!(TcpHeader::verify_segment(SRC, DST, &seg));
         assert!(parsed.is_ack());
     }
 
@@ -163,7 +189,26 @@ mod tests {
         let h = TcpHeader::for_payload(1, 2, 100, 0, flags::ACK, 1000, SRC, DST, b"xyz");
         let mut tampered = h;
         tampered.seq += 1;
-        assert!(!tampered.verify(SRC, DST, b"xyz"));
+        let seg = segment(&tampered, b"xyz");
+        assert!(!TcpHeader::verify_segment(SRC, DST, &seg));
+    }
+
+    #[test]
+    fn segment_with_options_and_urgent_pointer_verifies() {
+        let seg = segment_with_options(SRC, DST, b"linux sends timestamps");
+        let (h, payload) = TcpHeader::parse(&seg).unwrap();
+        assert_eq!(payload, b"linux sends timestamps", "options are skipped");
+        assert_eq!(h.seq, 0x1234_5678);
+        assert!(TcpHeader::verify_segment(SRC, DST, &seg));
+        // The checksum covers the options: flip one byte and it fails.
+        let mut bad = seg.clone();
+        bad[25] ^= 0x40;
+        assert!(TcpHeader::parse(&bad).is_ok(), "still well-formed");
+        assert!(!TcpHeader::verify_segment(SRC, DST, &bad));
+        // ... and the urgent pointer.
+        let mut bad = seg;
+        bad[19] ^= 0x01;
+        assert!(!TcpHeader::verify_segment(SRC, DST, &bad));
     }
 
     #[test]

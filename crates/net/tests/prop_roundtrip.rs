@@ -145,11 +145,13 @@ proptest! {
         seq in any::<u32>(),
     ) {
         let h = TcpHeader::for_payload(3, 4, seq, 0, 0x10, 1000, [9,9,9,9], [8,8,8,8], &payload);
-        prop_assert!(h.verify([9,9,9,9], [8,8,8,8], &payload));
-        let mut bad = payload.clone();
-        let pos = (pos_seed % bad.len() as u64) as usize;
-        bad[pos] ^= 0xA5;
-        prop_assert!(!h.verify([9,9,9,9], [8,8,8,8], &bad));
+        let mut seg = Vec::new();
+        h.encode(&mut seg);
+        seg.extend_from_slice(&payload);
+        prop_assert!(TcpHeader::verify_segment([9,9,9,9], [8,8,8,8], &seg));
+        let pos = TcpHeader::LEN + (pos_seed % payload.len() as u64) as usize;
+        seg[pos] ^= 0xA5;
+        prop_assert!(!TcpHeader::verify_segment([9,9,9,9], [8,8,8,8], &seg));
     }
 
     #[test]

@@ -267,6 +267,24 @@ impl RuntimeFaults {
             .map(|s| s.ms)
     }
 
+    /// The first offer count in `from..=to` at which a merger kill or
+    /// stall fires for `incarnation` — where a merger drain must stop
+    /// handing offers to the engine in bulk and run its per-offer hooks.
+    pub(crate) fn next_merger_hook(&self, incarnation: u64, from: u64, to: u64) -> Option<u64> {
+        let kill = self
+            .merger_kill
+            .iter()
+            .chain(self.merger_kills.iter())
+            .filter(|k| k.incarnation == incarnation)
+            .map(|k| k.after_offers.max(from))
+            .min();
+        let stall = self
+            .merger_stall
+            .map(|s| s.after_offers)
+            .filter(|&at| at >= from);
+        kill.into_iter().chain(stall).min().filter(|&at| at <= to)
+    }
+
     /// Records `event` into the attached [`FaultLog`], if any.
     pub(crate) fn note(&self, event: FaultEvent) {
         if let Some(log) = &self.log {
@@ -424,6 +442,30 @@ mod tests {
         assert_eq!(f.merger_stall_fires(6), None);
         assert_eq!(f.merger_stall_fires(7), Some(3));
         assert_eq!(f.merger_stall_fires(8), None);
+    }
+
+    #[test]
+    fn next_merger_hook_is_the_first_firing_offer_in_range() {
+        let mut f = RuntimeFaults::none();
+        assert_eq!(f.next_merger_hook(0, 1, 1_000), None, "no merger faults");
+        f.merger_kills.push(MergerKill {
+            after_offers: 40,
+            incarnation: 1,
+        });
+        f.merger_stall = Some(MergerStall {
+            after_offers: 25,
+            ms: 3,
+        });
+        assert_eq!(f.next_merger_hook(1, 1, 1_000), Some(25), "stall first");
+        assert_eq!(f.next_merger_hook(1, 26, 1_000), Some(40));
+        assert_eq!(f.next_merger_hook(1, 26, 39), None, "kill past the range");
+        assert_eq!(f.next_merger_hook(1, 60, 70), Some(60), "passed kill");
+        assert_eq!(f.next_merger_hook(0, 26, 1_000), None, "wrong incarnation");
+        for from in 1..50 {
+            let first = (from..=50)
+                .find(|&n| f.merger_kill_fires(1, n) || f.merger_stall_fires(n).is_some());
+            assert_eq!(f.next_merger_hook(1, from, 50), first, "from {from}");
+        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! duplication and reordering are all detectable downstream.
 //!
 //! Frames are built directly into [`BufPool`] slots: a [`Frame`] is a
-//! sequence number plus a [`PktBuf`] descriptor handle, so cloning one —
-//! which the dispatcher does for every packet it batches, and the
-//! fault/supervision paths do for every retained window — bumps a
-//! refcount instead of copying wire bytes.
+//! sequence number plus a [`PktBuf`] descriptor handle, so cloning one
+//! bumps a refcount instead of copying wire bytes. The pipeline does not
+//! even do that: its batches, retained windows and fault copies borrow
+//! the caller's frames, so no pipeline thread touches a refcount.
 
 use mflow_net::ethernet::{EtherType, EthernetHeader};
 use mflow_net::frame::{build_overlay_frame_into, OverlayFrameSpec, OVERLAY_HEADER_BYTES};

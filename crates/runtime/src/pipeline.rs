@@ -54,6 +54,9 @@
 //!
 //! Both transports preserve the same per-lane FIFO and disconnect
 //! semantics, so the fault-recovery machinery below is transport-blind.
+//! Every cross-thread handoff happens once per micro-flow: batches hold
+//! references into the caller's `frames` (no refcount traffic), and a
+//! micro-flow's results reach the merger as one run.
 //!
 //! # Stateful modes
 //!
@@ -223,10 +226,10 @@ pub struct RuntimeConfig {
     /// steering (`PostParse`) or on the workers, with the dispatcher
     /// reduced to descriptor round-robin (`PacketRequest`).
     pub dispatch_mode: DispatchMode,
-    /// Worker→merger queue capacity in results. Power of two (the ring
-    /// transport masks indices with it); under `Mpsc` it is the shared
-    /// channel's bound, under `Ring` each producer's ring holds this
-    /// many.
+    /// Worker→merger queue capacity, counted in results. Must be a power
+    /// of two. Results travel as one run per micro-flow, so the transport
+    /// holds ⌈`merger_depth` / `batch_size`⌉ runs, at least 1: under
+    /// `Mpsc` the shared channel, under `Ring` each producer's ring.
     pub merger_depth: usize,
     /// Which steering policy drives dispatch (lane choice, chain
     /// topology, merger engagement).
@@ -495,13 +498,17 @@ fn lock_policy(cell: &PolicyCell) -> std::sync::MutexGuard<'_, Box<dyn SteeringP
     cell.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One micro-flow's tagged frames, as sent to a worker.
-type Batch = Vec<(MfTag, Frame)>;
+/// One micro-flow's tagged frames, as sent to a worker: references into
+/// the caller's `frames`, which outlive every pipeline thread.
+type Batch<'f> = Vec<(MfTag, &'f Frame)>;
 /// One micro-flow part-way through the staged pipeline, as forwarded
 /// between FALCON chain workers.
-type StageBatch = Vec<(MfTag, StagedWork)>;
-/// One processed packet, as sent to the merger.
+type StageBatch<'f> = Vec<(MfTag, StagedWork<'f>)>;
+/// One processed packet, as offered to the merge engine.
 type Merged = (MfTag, PacketResult);
+/// One micro-flow's processed packets: the merge transport's unit, so a
+/// producer pays one handoff per micro-flow, not per packet.
+type Run = Vec<Merged>;
 
 /// Sending half of one SPSC lane (dispatcher→worker batches, or
 /// worker→worker staged batches along a FALCON chain).
@@ -576,30 +583,36 @@ fn spsc_lane<B: Send>(transport: Transport, depth: usize) -> (LaneTx<B>, LaneRx<
 
 /// A producer's (worker or dispatcher) half of the merge path.
 enum MergeTx {
-    Mpsc(SyncSender<Merged>),
-    Ring(RingProducer<Merged>),
+    Mpsc(SyncSender<Run>),
+    Ring(RingProducer<Run>),
 }
 
 impl MergeTx {
-    /// Sends one batch of results; `Err` when the merger is gone. The
-    /// ring publishes once per claimed stretch; mpsc once per item.
-    fn send_all(&mut self, results: Vec<Merged>) -> Result<(), ()> {
+    /// Sends one micro-flow's results as a single transport item; `Err`
+    /// when the merger is gone. Empty runs are not sent.
+    fn send_all(&mut self, results: Run) -> Result<(), ()> {
+        if results.is_empty() {
+            return Ok(());
+        }
         match self {
-            MergeTx::Mpsc(tx) => {
-                for item in results {
-                    tx.send(item).map_err(|_| ())?;
-                }
-                Ok(())
-            }
-            MergeTx::Ring(tx) => tx.push_all(results).map_err(|_| ()),
+            MergeTx::Mpsc(tx) => tx.send(results).map_err(|_| ()),
+            MergeTx::Ring(tx) => tx.push(results).map_err(|_| ()),
         }
     }
 }
 
-/// The merger's receiving end.
-enum MergeRx {
-    Mpsc(mpsc::Receiver<Merged>),
-    Ring(RingMux<Merged>),
+/// The merge transport's receiving end, carrying whole runs.
+enum RunRx {
+    Mpsc(mpsc::Receiver<Run>),
+    Ring(RingMux<Run>),
+}
+
+/// The merger's receiving end: the run transport plus the results of
+/// runs already taken off it but not yet handed out. Both live in the
+/// leased receiver slot, so a merger death loses neither.
+struct MergeRx {
+    rx: RunRx,
+    staged: VecDeque<Merged>,
 }
 
 /// Outcome of one merger receive.
@@ -610,45 +623,65 @@ enum MergeRecv {
 }
 
 impl MergeRx {
-    /// Receives one result, waiting at most `timeout` (forever if
-    /// `None`).
-    fn recv(&mut self, timeout: Option<Duration>) -> MergeRecv {
-        match self {
-            MergeRx::Mpsc(rx) => match timeout {
-                Some(t) => match rx.recv_timeout(t) {
-                    Ok(msg) => MergeRecv::Item(msg),
-                    Err(RecvTimeoutError::Timeout) => MergeRecv::Timeout,
-                    Err(RecvTimeoutError::Disconnected) => MergeRecv::Disconnected,
-                },
-                None => match rx.recv() {
-                    Ok(msg) => MergeRecv::Item(msg),
-                    Err(_) => MergeRecv::Disconnected,
-                },
-            },
-            MergeRx::Ring(mux) => {
-                let deadline = timeout.map(|t| Instant::now() + t);
-                match mux.recv_deadline(deadline) {
-                    Ok(msg) => MergeRecv::Item(msg),
-                    Err(MuxRecvError::Timeout) => MergeRecv::Timeout,
-                    Err(MuxRecvError::Disconnected) => MergeRecv::Disconnected,
-                }
-            }
+    fn new(rx: RunRx) -> Self {
+        Self {
+            rx,
+            staged: VecDeque::new(),
         }
     }
 
-    /// Appends results that are already waiting — queued in the mpsc
-    /// channel, or refilled into the mux's scratch queue — until `batch`
-    /// holds `max`. Never blocks.
+    /// Receives one result, waiting at most `timeout` (forever if
+    /// `None`) when no run is staged.
+    fn recv(&mut self, timeout: Option<Duration>) -> MergeRecv {
+        loop {
+            if let Some(item) = self.staged.pop_front() {
+                return MergeRecv::Item(item);
+            }
+            let run = match &mut self.rx {
+                RunRx::Mpsc(rx) => match timeout {
+                    Some(t) => match rx.recv_timeout(t) {
+                        Ok(run) => run,
+                        Err(RecvTimeoutError::Timeout) => return MergeRecv::Timeout,
+                        Err(RecvTimeoutError::Disconnected) => return MergeRecv::Disconnected,
+                    },
+                    None => match rx.recv() {
+                        Ok(run) => run,
+                        Err(_) => return MergeRecv::Disconnected,
+                    },
+                },
+                RunRx::Ring(mux) => {
+                    let deadline = timeout.map(|t| Instant::now() + t);
+                    match mux.recv_deadline(deadline) {
+                        Ok(run) => run,
+                        Err(MuxRecvError::Timeout) => return MergeRecv::Timeout,
+                        Err(MuxRecvError::Disconnected) => return MergeRecv::Disconnected,
+                    }
+                }
+            };
+            self.staged.extend(run);
+        }
+    }
+
+    /// Appends results that are already waiting — staged, queued in the
+    /// mpsc channel, or refilled into the mux's scratch queue — until
+    /// `batch` holds `max`. Never blocks; the unused tail of a run stays
+    /// staged for the next call.
     fn drain_buffered(&mut self, batch: &mut Vec<Merged>, max: usize) {
         while batch.len() < max {
-            let next = match self {
-                MergeRx::Mpsc(rx) => rx.try_recv().ok(),
-                MergeRx::Ring(mux) => mux.try_recv_buffered(),
-            };
-            match next {
-                Some(item) => batch.push(item),
-                None => break,
+            if self.staged.is_empty() {
+                let run = match &mut self.rx {
+                    RunRx::Mpsc(rx) => rx.try_recv().ok(),
+                    RunRx::Ring(mux) => mux.try_recv_buffered(),
+                };
+                match run {
+                    Some(mut run) if run.len() <= max - batch.len() => batch.append(&mut run),
+                    Some(run) => self.staged.extend(run),
+                    None => break,
+                }
+                continue;
             }
+            let take = (max - batch.len()).min(self.staged.len());
+            batch.extend(self.staged.drain(..take));
         }
     }
 }
@@ -739,28 +772,32 @@ impl MergerState {
         }
     }
 
-    /// Applies one received offer: counters, the engine, then the
-    /// stateful stage on whatever the engine released. Identical whether
-    /// the offer arrives live or replays from the delta log.
-    fn apply(&mut self, tag: MfTag, result: PacketResult, out: &mut Vec<PacketResult>) {
-        self.offers += 1;
+    /// Applies received offers in order: counters, the engine, then the
+    /// stateful stage on whatever the engine released. The one apply
+    /// path — live drains, restore replay and final assembly all feed
+    /// it — so an offer has the same effect whether it arrives live or
+    /// replays from the delta log. The merge counter takes the slice as
+    /// runs ([`MergeCounter::offer_run`]), equivalent to one offer each.
+    fn apply_all(&mut self, items: &[Merged], out: &mut Vec<PacketResult>) {
+        self.offers += items.len() as u64;
         if self.scr {
-            self.replicated += 1;
+            self.replicated += items.len() as u64;
         }
-        if let Some(max) = self.max_seen {
-            if result.seq < max {
-                self.ooo += 1;
+        for (_, result) in items {
+            match self.max_seen {
+                Some(max) if result.seq < max => self.ooo += 1,
+                Some(max) if result.seq == max => {}
+                _ => self.max_seen = Some(result.seq),
             }
         }
-        self.max_seen = Some(self.max_seen.map_or(result.seq, |m| m.max(result.seq)));
         let from = out.len();
         match &mut self.engine {
-            MergeEngine::Passthrough => out.push(result),
-            MergeEngine::Counter(mc) => {
-                mc.offer(tag, result, out);
-            }
+            MergeEngine::Passthrough => out.extend(items.iter().map(|&(_, r)| r)),
+            MergeEngine::Counter(mc) => mc.offer_run(items, out),
             MergeEngine::Reconciler(rc) => {
-                rc.offer(result.seq, result.seq + 1, result, out);
+                for &(_, r) in items {
+                    rc.offer(r.seq, r.seq + 1, r, out);
+                }
             }
         }
         self.stage_released(out, from);
@@ -1003,10 +1040,7 @@ fn merger_loop(
         let t = Instant::now();
         let mut state = d.snapshot.clone();
         let mut out = d.out.clone();
-        for i in 0..d.delta.len() {
-            let (tag, result) = d.delta[i];
-            state.apply(tag, result, &mut out);
-        }
+        state.apply_all(&d.delta, &mut out);
         state.charge(t);
         let replayed = d.delta.len() as u64;
         if incarnation > 0 {
@@ -1052,8 +1086,12 @@ fn merger_loop(
                 if wal_on {
                     shared.durable().delta.extend_from_slice(&batch);
                 }
+                // Apply the drain in pieces that each start at an offer
+                // where a merger hook may fire: the kill and stall checks
+                // run per offer number, the engine per piece.
                 let mut t = Instant::now();
-                for &(tag, result) in &batch {
+                let mut rest = &batch[..];
+                while !rest.is_empty() {
                     let offer_no = state.offers + 1;
                     if faults.merger_kill_fires(incarnation, offer_no) {
                         faults.note(FaultEvent::MergerDeath { incarnation });
@@ -1071,10 +1109,18 @@ fn merger_loop(
                         }
                         t = Instant::now();
                     }
-                    state.apply(tag, result, &mut out);
-                    if wal_on && state.offers % checkpoint_every == 0 {
-                        merger_checkpoint(shared, &state, &out);
-                    }
+                    let last_no = state.offers + rest.len() as u64;
+                    let len = faults
+                        .next_merger_hook(incarnation, offer_no + 1, last_no)
+                        .map_or(rest.len(), |at| (at - offer_no) as usize);
+                    let (piece, tail) = rest.split_at(len);
+                    state.apply_all(piece, &mut out);
+                    rest = tail;
+                }
+                // The drain stops at the next checkpoint boundary, so
+                // only its last offer can land on one.
+                if wal_on && state.offers % checkpoint_every == 0 {
+                    merger_checkpoint(shared, &state, &out);
                 }
                 state.charge(t);
             }
@@ -1231,16 +1277,19 @@ impl<'scope, 'env> MergerWatch<'scope, 'env> {
 
     /// Joins one worker handle while keeping the merge stream consumed:
     /// a worker blocked on a full merge transport whose consumer just
-    /// died would otherwise deadlock the join.
+    /// died would otherwise deadlock the join. `also` runs on every pass
+    /// (the chain-stage watchdog during a staged join).
     fn join_tended(
         &self,
         h: thread::ScopedJoinHandle<'scope, ()>,
         sup: &mut Supervisor,
         merger_handles: &mut Vec<thread::ScopedJoinHandle<'scope, ()>>,
         frames_done: u64,
+        mut also: impl FnMut(&mut Supervisor),
     ) -> thread::Result<()> {
         while self.armed && !h.is_finished() {
             self.tend(sup, merger_handles, frames_done);
+            also(sup);
             thread::sleep(Duration::from_micros(50));
         }
         h.join()
@@ -1265,14 +1314,14 @@ impl<'scope, 'env> MergerWatch<'scope, 'env> {
 }
 
 /// Dispatcher-side view of one worker queue.
-struct Lane {
-    tx: Option<LaneTx<Batch>>,
+struct Lane<'f> {
+    tx: Option<LaneTx<Batch<'f>>>,
     /// Copies of the most recently sent batches (faulty runs only): the
     /// batches that may still sit unprocessed in the queue when the
     /// worker dies, and must be redispatched. Capacity `queue_depth + 2`
     /// covers the full queue, the batch in the worker's hands, and the
     /// one that bounced.
-    recent: VecDeque<Batch>,
+    recent: VecDeque<Batch<'f>>,
     /// Merge-counter lane id stamped on batches routed here. Initially
     /// the slot index; a supervisor respawn moves it to a fresh id so
     /// results a replaced (but still draining) incarnation emits can
@@ -1282,16 +1331,18 @@ struct Lane {
 }
 
 /// Outcome of a non-blocking send attempt.
-enum SendAttempt {
+enum SendAttempt<'f> {
     /// Enqueued (or rerouted through the dead-lane machinery).
     Sent,
     /// The queue was full; the batch comes back untouched.
-    Full(Batch),
+    Full(Batch<'f>),
 }
 
 /// Everything the dispatcher tracks while the stream is in flight.
-struct Dispatcher<'a> {
-    lanes: Vec<Lane>,
+/// `'a` borrows the run's shared counters, `'f` the caller's frames,
+/// which outlive them.
+struct Dispatcher<'a, 'f> {
+    lanes: Vec<Lane<'f>>,
     retain: usize,
     /// Next recovery lane ID (tag lanes above the worker count are unique
     /// per redispatched batch).
@@ -1319,12 +1370,12 @@ struct Dispatcher<'a> {
     /// chain has exactly one entry lane, so "no live worker" does not
     /// mean the pipeline is dead — the dispatcher itself still is).
     orphan_inline: bool,
-    orphans: Vec<Batch>,
+    orphans: Vec<Batch<'f>>,
 }
 
-impl<'a> Dispatcher<'a> {
+impl<'a, 'f> Dispatcher<'a, 'f> {
     fn new(
-        lanes: Vec<Lane>,
+        lanes: Vec<Lane<'f>>,
         faults: &RuntimeFaults,
         cfg: &RuntimeConfig,
         depths: &'a [AtomicUsize],
@@ -1364,7 +1415,7 @@ impl<'a> Dispatcher<'a> {
 
     /// Batches with no reachable worker, handed back for inline
     /// processing (chain mode only; empty otherwise).
-    fn take_orphans(&mut self) -> Vec<Batch> {
+    fn take_orphans(&mut self) -> Vec<Batch<'f>> {
         std::mem::take(&mut self.orphans)
     }
 
@@ -1372,7 +1423,7 @@ impl<'a> Dispatcher<'a> {
     /// queued there will never be dequeued, so leaving the count in
     /// place would feed phantom load into every aggregate-occupancy
     /// signal (watermarks, engagement counters) for the rest of the run.
-    fn mark_dead(&mut self, lane: usize) -> VecDeque<Batch> {
+    fn mark_dead(&mut self, lane: usize) -> VecDeque<Batch<'f>> {
         self.lanes[lane].tx = None;
         self.depths[lane].store(0, Ordering::Relaxed);
         std::mem::take(&mut self.lanes[lane].recent)
@@ -1408,7 +1459,7 @@ impl<'a> Dispatcher<'a> {
     /// installs the new sender, clears the retained window (the old one
     /// was redispatched at death), resets the depth counter, and moves
     /// the tag lane to a fresh id (see [`Lane::tag_lane`]).
-    fn revive(&mut self, lane: usize, tx: LaneTx<Batch>) {
+    fn revive(&mut self, lane: usize, tx: LaneTx<Batch<'f>>) {
         self.lanes[lane].tx = Some(tx);
         self.lanes[lane].recent.clear();
         self.lanes[lane].tag_lane = self.recovery_lane;
@@ -1417,13 +1468,13 @@ impl<'a> Dispatcher<'a> {
     }
 
     /// Sends `batch` to worker `lane`, redispatching on failure.
-    fn send(&mut self, lane: usize, batch: Batch) {
+    fn send(&mut self, lane: usize, batch: Batch<'f>) {
         self.pump(vec![(lane, batch, false)]);
     }
 
     /// Drains a pending send list iteratively: a redispatch target may
     /// itself be dead, bouncing the batch again.
-    fn pump(&mut self, mut pending: Vec<(usize, Batch, bool)>) {
+    fn pump(&mut self, mut pending: Vec<(usize, Batch<'f>, bool)>) {
         while let Some((lane, batch, is_recovery)) = pending.pop() {
             let Some(tx) = self.lanes[lane].tx.as_mut() else {
                 // Known-dead lane: reroute to a live worker directly.
@@ -1441,12 +1492,24 @@ impl<'a> Dispatcher<'a> {
                 Ok(()) => {}
                 Err(batch) => {
                     // The worker died: everything it still held is lost.
-                    // Redispatch its retained window plus this batch.
+                    // Redispatch its retained window plus this batch. The
+                    // window always moves to fresh recovery lanes, even
+                    // when the bounced batch was itself a recovery send:
+                    // the dead worker may already have emitted part of
+                    // it, and a second copy on the same tag lane would
+                    // be merged as a continuation of the first (a copy
+                    // missing its closing packet never closes, so the
+                    // counter would release its packets twice). Only the
+                    // bounced batch, which no worker received, keeps its
+                    // tags.
                     let window = self.mark_dead(lane);
-                    for lost in window.into_iter().chain(std::iter::once(batch)) {
-                        if let Some(b) = self.reroute(lost, is_recovery) {
+                    for lost in window {
+                        if let Some(b) = self.reroute(lost, false) {
                             pending.push(b);
                         }
+                    }
+                    if let Some(b) = self.reroute(batch, is_recovery) {
+                        pending.push(b);
                     }
                 }
             }
@@ -1454,15 +1517,15 @@ impl<'a> Dispatcher<'a> {
     }
 
     /// Sends a batch, keeping a copy in the lane's retained window first
-    /// (faulty runs only).
-    fn send_retained(&mut self, lane: usize, batch: Batch) {
+    /// (faulty runs only). The copy holds frame references, not frames.
+    fn send_retained(&mut self, lane: usize, batch: Batch<'f>) {
         if self.retain > 0 && self.lanes[lane].tx.is_some() {
             self.remember(lane, batch.clone());
         }
         self.send(lane, batch);
     }
 
-    fn remember(&mut self, lane: usize, batch: Batch) {
+    fn remember(&mut self, lane: usize, batch: Batch<'f>) {
         let recent = &mut self.lanes[lane].recent;
         if recent.len() == self.retain {
             recent.pop_front();
@@ -1473,7 +1536,7 @@ impl<'a> Dispatcher<'a> {
     /// Offers `batch` to worker `lane` under the backpressure policy.
     /// Returns the batch when the policy decided the *caller* must
     /// process it inline on the dispatcher thread.
-    fn offer(&mut self, lane: usize, batch: Batch) -> Option<Batch> {
+    fn offer(&mut self, lane: usize, batch: Batch<'f>) -> Option<Batch<'f>> {
         if self.lanes[lane].tx.is_some() {
             if let Some(w) = self.high_watermark {
                 if self.depths[lane].load(Ordering::Relaxed) >= w {
@@ -1494,7 +1557,7 @@ impl<'a> Dispatcher<'a> {
     /// Non-blocking send with the same dead-lane recovery as [`send`].
     ///
     /// [`send`]: Dispatcher::send
-    fn try_send_now(&mut self, lane: usize, batch: Batch) -> SendAttempt {
+    fn try_send_now(&mut self, lane: usize, batch: Batch<'f>) -> SendAttempt<'f> {
         if self.lanes[lane].tx.is_none() {
             // Known-dead lane: the blocking path already reroutes without
             // ever waiting.
@@ -1531,7 +1594,7 @@ impl<'a> Dispatcher<'a> {
     /// The policy decision for a saturated lane. `None` means the batch
     /// was handled (sent, blocked-and-sent, or shed); `Some` hands it
     /// back for inline processing.
-    fn apply_policy(&mut self, lane: usize, batch: Batch) -> Option<Batch> {
+    fn apply_policy(&mut self, lane: usize, batch: Batch<'f>) -> Option<Batch<'f>> {
         match self.policy {
             BackpressurePolicy::Block => {
                 self.send_retained(lane, batch);
@@ -1562,7 +1625,11 @@ impl<'a> Dispatcher<'a> {
     /// next live worker. Returns `None` when no workers are left — in
     /// chain mode the batch is parked for inline processing instead of
     /// being dropped.
-    fn reroute(&mut self, batch: Batch, was_recovery: bool) -> Option<(usize, Batch, bool)> {
+    fn reroute(
+        &mut self,
+        batch: Batch<'f>,
+        was_recovery: bool,
+    ) -> Option<(usize, Batch<'f>, bool)> {
         let Some(target) = self.pick_live_worker() else {
             if self.orphan_inline {
                 self.orphans.push(batch);
@@ -1579,14 +1646,14 @@ impl<'a> Dispatcher<'a> {
         Some((target, batch, true))
     }
 
-    /// Clones a batch onto a fresh recovery lane.
-    fn retag(&mut self, batch: Batch) -> Batch {
+    /// Moves a batch onto a fresh recovery lane.
+    fn retag(&mut self, mut batch: Batch<'f>) -> Batch<'f> {
         let lane = self.recovery_lane;
         self.recovery_lane += 1;
+        for (tag, _) in &mut batch {
+            tag.lane = lane;
+        }
         batch
-            .into_iter()
-            .map(|(tag, frame)| (MfTag { lane, ..tag }, frame))
-            .collect()
     }
 
     fn pick_live_worker(&mut self) -> Option<usize> {
@@ -1603,7 +1670,7 @@ impl<'a> Dispatcher<'a> {
 
     /// Sends a recovery-tagged copy of `batch` to the next live worker
     /// (parked for inline processing in chain mode when none is left).
-    fn send_recovery(&mut self, batch: Batch) {
+    fn send_recovery(&mut self, batch: Batch<'f>) {
         let retagged = self.retag(batch);
         if let Some(target) = self.pick_live_worker() {
             self.send(target, retagged);
@@ -1660,10 +1727,10 @@ fn apply_worker_faults(
 fn complete_to_merger(
     merge: &mut MergeTx,
     sent: &AtomicU64,
-    staged: StageBatch,
+    staged: StageBatch<'_>,
     scr_work: Option<u32>,
 ) -> Result<(), ()> {
-    let results: Vec<Merged> = staged
+    let results: Run = staged
         .into_iter()
         .map(|(tag, w)| {
             let r = w.complete();
@@ -1692,8 +1759,8 @@ fn apply_scr(r: PacketResult, scr_work: Option<u32>) -> PacketResult {
 /// dropped with its own sender so merger disconnect semantics are
 /// unchanged.
 enum MergeWiring {
-    Mpsc(SyncSender<Merged>),
-    Ring(MuxRegistrar<Merged>),
+    Mpsc(SyncSender<Run>),
+    Ring(MuxRegistrar<Run>),
 }
 
 impl MergeWiring {
@@ -1710,18 +1777,18 @@ impl MergeWiring {
 /// worker) so the watchdog can swap in a fresh link when the downstream
 /// stage is respawned — re-homing the stage onto the new worker. The
 /// generation counter invalidates senders taken out before a re-wire.
-struct ChainSlot {
+struct ChainSlot<'f> {
     gen: u64,
-    tx: Option<LaneTx<StageBatch>>,
+    tx: Option<LaneTx<StageBatch<'f>>>,
 }
 
 /// Shared chain state every stage worker (and the watchdog) sees.
 /// `slots[i]` / `dead_gens[i+1]` / `link_depths[i+1]` describe the link
 /// from stage `i` to stage `i+1`; the tail's slot stays empty forever.
 #[derive(Clone, Copy)]
-struct ChainCtx<'a> {
+struct ChainCtx<'a, 'f> {
     /// `slots[i]`: sender into stage `i + 1` (tail: always `None`).
-    slots: &'a [Mutex<ChainSlot>],
+    slots: &'a [Mutex<ChainSlot<'f>>],
     /// `link_depths[i]`: staged batches queued into stage `i` (index 0
     /// unused — the head's backlog is the dispatcher lane depth).
     link_depths: &'a [AtomicUsize],
@@ -1747,12 +1814,12 @@ fn depth_dec(depth: &AtomicUsize) {
 /// merger sends stay FIFO, so order survives the degradation. A death
 /// discovery is flagged (keyed by link generation) for the watchdog to
 /// respawn. `Err` when the merger itself is gone.
-fn forward_shared(
-    chain: ChainCtx<'_>,
+fn forward_shared<'f>(
+    chain: ChainCtx<'_, 'f>,
     slot: usize,
     merge: &mut MergeTx,
     sent: &AtomicU64,
-    staged: StageBatch,
+    staged: StageBatch<'f>,
     scr_work: Option<u32>,
 ) -> Result<(), ()> {
     let (gen, tx) = {
@@ -1793,13 +1860,98 @@ fn forward_shared(
     }
 }
 
+/// The read-only context of the FALCON interior/tail stage watchdog,
+/// bundled like [`MergerWatch`] so the dispatch loop and the staged
+/// teardown join run the same pass.
+#[derive(Clone, Copy)]
+struct StageWatch<'e, 'f> {
+    chain: ChainCtx<'e, 'f>,
+    group_sizes: &'e [usize],
+    transport: Transport,
+    queue_depth: usize,
+    sent: &'e AtomicU64,
+    faults: &'e RuntimeFaults,
+    beats: &'e HeartbeatBoard,
+    scr_work: Option<u32>,
+}
+
+impl<'e, 'f> StageWatch<'e, 'f> {
+    /// One pass over chain stages `first..` (`first >= 1`: the head is
+    /// watched through the dispatcher lane). Each stage is watched
+    /// through its upstream link slot: a death is either flagged by the
+    /// upstream's bounced send (generation-matched) or declared here on
+    /// a stale heartbeat with work queued on the link. A dead stage is
+    /// re-homed onto a fresh link, merger sender and incarnation when
+    /// the restart budget allows. Spawned incarnations join `handles`.
+    fn tend<'scope>(
+        &self,
+        s: &'scope thread::Scope<'scope, 'e>,
+        wiring: &MergeWiring,
+        sup: &mut Supervisor,
+        first: usize,
+        frames_done: u64,
+        handles: &mut Vec<(usize, thread::ScopedJoinHandle<'scope, ()>)>,
+    ) {
+        let chain = self.chain;
+        let now = Instant::now();
+        for (slot, &my_group) in self.group_sizes.iter().enumerate().skip(first) {
+            let cur_gen = chain.slots[slot - 1].lock().expect("chain slot lock").gen;
+            let mut dead = chain.dead_gens[slot].load(Ordering::Acquire) == cur_gen;
+            if !dead
+                && sup.stale(slot, self.beats.read(slot), now)
+                && chain.link_depths[slot].load(Ordering::Relaxed) > 0
+            {
+                // Stalled: cut the link so the upstream completes
+                // batches locally until the replacement is wired in.
+                sup.heartbeat_misses += 1;
+                let mut link = chain.slots[slot - 1].lock().expect("chain slot lock");
+                link.gen += 1;
+                link.tx = None;
+                dead = true;
+            }
+            if !dead {
+                continue;
+            }
+            sup.note_death(slot, now, frames_done);
+            if !sup.allow_respawn(slot, now) {
+                continue;
+            }
+            // Re-home the stage: fresh link, fresh merger sender, new
+            // incarnation. The generation bump invalidates any old
+            // sender still in flight upstream.
+            let (tx, rx) = spsc_lane::<StageBatch<'f>>(self.transport, self.queue_depth);
+            let link_gen = {
+                let mut link = chain.slots[slot - 1].lock().expect("chain slot lock");
+                link.gen += 1;
+                link.tx = Some(tx);
+                link.gen
+            };
+            chain.link_depths[slot].store(0, Ordering::Relaxed);
+            chain.dead_gens[slot].store(u64::MAX, Ordering::Release);
+            let mtx = wiring.new_tx();
+            let inc = sup.on_respawn(slot, now, frames_done);
+            let (sent, faults, beats, scr_work) =
+                (self.sent, self.faults, self.beats, self.scr_work);
+            handles.push((
+                slot,
+                s.spawn(move || {
+                    chain_worker_loop(
+                        slot, inc, link_gen, my_group, rx, mtx, sent, faults, beats, chain,
+                        scr_work,
+                    )
+                }),
+            ));
+        }
+    }
+}
+
 /// One fan-out worker incarnation: dequeue, heartbeat, full per-packet
 /// work, publish to the merger.
 #[allow(clippy::too_many_arguments)]
 fn fanout_worker_loop(
     slot: usize,
     incarnation: u64,
-    mut rx: LaneRx<Batch>,
+    mut rx: LaneRx<Batch<'_>>,
     mut tx: MergeTx,
     sent: &AtomicU64,
     faults: &RuntimeFaults,
@@ -1823,12 +1975,13 @@ fn fanout_worker_loop(
                 lock_policy(cell).observe(tag.id, hash, slot, batch.len());
             }
         }
-        // Whole-batch processing, whole-batch publish: one merge-side
-        // handoff per micro-flow, not per packet.
-        let mut results = Vec::with_capacity(batch.len());
-        for (tag, frame) in batch {
-            results.push((tag, apply_scr(process_frame(&frame), scr_work)));
-        }
+        // Whole-batch processing over borrowed frames, whole-batch
+        // publish: the results travel as one run, so the merge side
+        // pays one handoff per micro-flow, not per packet.
+        let results: Run = batch
+            .into_iter()
+            .map(|(tag, frame)| (tag, apply_scr(process_frame(frame), scr_work)))
+            .collect();
         sent.fetch_add(results.len() as u64, Ordering::Relaxed);
         if tx.send_all(results).is_err() {
             // Merger gone; nothing useful left to do.
@@ -1841,16 +1994,16 @@ fn fanout_worker_loop(
 /// The chain-head incarnation: consumes dispatcher batches, applies the
 /// first stage group, forwards down the chain.
 #[allow(clippy::too_many_arguments)]
-fn chain_head_loop(
+fn chain_head_loop<'f>(
     incarnation: u64,
     head_group: usize,
-    mut rx: LaneRx<Batch>,
+    mut rx: LaneRx<Batch<'f>>,
     mut merge: MergeTx,
     sent: &AtomicU64,
     faults: &RuntimeFaults,
     depths: &[AtomicUsize],
     beats: &HeartbeatBoard,
-    chain: ChainCtx<'_>,
+    chain: ChainCtx<'_, 'f>,
     scr_work: Option<u32>,
 ) {
     let mut processed = 0u64;
@@ -1858,7 +2011,7 @@ fn chain_head_loop(
         depth_dec(&depths[0]);
         beats.bump(0);
         apply_worker_faults(faults, 0, incarnation, processed, batch.first().map(|(t, _)| t.id));
-        let staged: StageBatch = batch
+        let staged: StageBatch<'f> = batch
             .into_iter()
             .map(|(tag, frame)| (tag, StagedWork::Raw(frame).advance_n(head_group)))
             .collect();
@@ -1873,24 +2026,29 @@ fn chain_head_loop(
 /// and forwards (the tail's shared slot is always empty, so it completes
 /// to the merger).
 #[allow(clippy::too_many_arguments)]
-fn chain_worker_loop(
+fn chain_worker_loop<'f>(
     slot: usize,
     incarnation: u64,
+    link_gen: u64,
     my_group: usize,
-    mut rx: LaneRx<StageBatch>,
+    mut rx: LaneRx<StageBatch<'f>>,
     mut merge: MergeTx,
     sent: &AtomicU64,
     faults: &RuntimeFaults,
     beats: &HeartbeatBoard,
-    chain: ChainCtx<'_>,
+    chain: ChainCtx<'_, 'f>,
     scr_work: Option<u32>,
 ) {
+    let _death = StageDeathFlag {
+        flag: &chain.dead_gens[slot],
+        link_gen,
+    };
     let mut processed = 0u64;
     while let Some(staged) = rx.recv() {
         depth_dec(&chain.link_depths[slot]);
         beats.bump(slot);
         apply_worker_faults(faults, slot, incarnation, processed, staged.first().map(|(t, _)| t.id));
-        let staged: StageBatch = staged
+        let staged: StageBatch<'f> = staged
             .into_iter()
             .map(|(tag, w)| (tag, w.advance_n(my_group)))
             .collect();
@@ -1898,6 +2056,24 @@ fn chain_worker_loop(
             return;
         }
         processed += 1;
+    }
+}
+
+/// Announces a chain stage's death to the watchdog as its incarnation
+/// unwinds, keyed by the generation of the link it was wired to, so the
+/// death is seen even when the upstream has nothing more to forward (a
+/// bounced forward is then the only other signal, and it may never
+/// come). A stale generation is ignored like any other stale signal.
+struct StageDeathFlag<'a> {
+    flag: &'a AtomicU64,
+    link_gen: u64,
+}
+
+impl Drop for StageDeathFlag<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.flag.store(self.link_gen, Ordering::Release);
+        }
     }
 }
 
@@ -1917,8 +2093,8 @@ pub fn process_parallel(frames: &[Frame], cfg: &RuntimeConfig) -> Result<RunOutp
 /// The pipeline under an injected fault mix. Guaranteed not to panic and
 /// not to wedge for any fault combination; see the module docs for the
 /// degradation contract.
-pub fn process_parallel_faulty(
-    frames: &[Frame],
+pub fn process_parallel_faulty<'f>(
+    frames: &'f [Frame],
     cfg: &RuntimeConfig,
     faults: &RuntimeFaults,
 ) -> Result<RunOutput, MflowError> {
@@ -1970,7 +2146,7 @@ pub fn process_parallel_faulty(
     let mut lanes = Vec::with_capacity(n_lanes);
     let mut lane_rx = Vec::with_capacity(n_lanes);
     for i in 0..n_lanes {
-        let (tx, rx) = spsc_lane::<Batch>(cfg.transport, cfg.queue_depth);
+        let (tx, rx) = spsc_lane::<Batch<'f>>(cfg.transport, cfg.queue_depth);
         lanes.push(Lane {
             tx: Some(tx),
             recent: VecDeque::new(),
@@ -1982,21 +2158,24 @@ pub fn process_parallel_faulty(
     // MPSC channel, or one SPSC ring per producer fanned into a mux. The
     // wiring handle mints additional senders for respawned workers.
     let mut worker_merge_tx: Vec<MergeTx> = Vec::with_capacity(n_threads);
+    // `merger_depth` counts results; the transport carries runs of at
+    // most one micro-flow (`batch_size` results) each.
+    let merge_runs = cfg.merger_depth.div_ceil(cfg.batch_size).max(1);
     let (merge_wiring, dispatch_merge_tx, merge_rx) = match cfg.transport {
         Transport::Mpsc => {
-            let (tx, rx) = mpsc::sync_channel::<Merged>(cfg.merger_depth);
+            let (tx, rx) = mpsc::sync_channel::<Run>(merge_runs);
             for _ in 0..n_threads {
                 worker_merge_tx.push(MergeTx::Mpsc(tx.clone()));
             }
             (
                 MergeWiring::Mpsc(tx.clone()),
                 MergeTx::Mpsc(tx),
-                MergeRx::Mpsc(rx),
+                RunRx::Mpsc(rx),
             )
         }
         Transport::Ring => {
             let (mut txs, mux, registrar) =
-                ring::ring_mux_with_registrar::<Merged>(n_threads + 1, cfg.merger_depth);
+                ring::ring_mux_with_registrar::<Run>(n_threads + 1, merge_runs);
             let dispatch = txs.pop().expect("n_threads + 1 rings");
             for tx in txs {
                 worker_merge_tx.push(MergeTx::Ring(tx));
@@ -2004,7 +2183,7 @@ pub fn process_parallel_faulty(
             (
                 MergeWiring::Ring(registrar),
                 MergeTx::Ring(dispatch),
-                MergeRx::Ring(mux),
+                RunRx::Ring(mux),
             )
         }
     };
@@ -2019,7 +2198,7 @@ pub fn process_parallel_faulty(
     let checkpoint_every = cfg.checkpoint_every;
     let merger_depth = cfg.merger_depth;
     let merger_slot = n_threads;
-    let shared_store = MergerShared::new(merge_rx, use_counter, scr, sw);
+    let shared_store = MergerShared::new(MergeRx::new(merge_rx), use_counter, scr, sw);
     let shared = &shared_store;
     // Per-lane queue depths, the watermark signal for backpressure.
     let depths: Vec<AtomicUsize> = (0..n_lanes).map(|_| AtomicUsize::new(0)).collect();
@@ -2037,11 +2216,11 @@ pub fn process_parallel_faulty(
         Vec::new()
     };
     let group_sizes = &group_sizes;
-    let mut chain_slots: Vec<Mutex<ChainSlot>> = Vec::with_capacity(chain_len);
-    let mut link_rx_q: VecDeque<LaneRx<StageBatch>> = VecDeque::new();
+    let mut chain_slots: Vec<Mutex<ChainSlot<'f>>> = Vec::with_capacity(chain_len);
+    let mut link_rx_q: VecDeque<LaneRx<StageBatch<'f>>> = VecDeque::new();
     for i in 0..chain_len {
         let tx = if i + 1 < chain_len {
-            let (tx, rx) = spsc_lane::<StageBatch>(cfg.transport, cfg.queue_depth);
+            let (tx, rx) = spsc_lane::<StageBatch<'f>>(cfg.transport, cfg.queue_depth);
             link_rx_q.push_back(rx);
             Some(tx)
         } else {
@@ -2055,6 +2234,16 @@ pub fn process_parallel_faulty(
         slots: &chain_slots,
         link_depths: &link_depths,
         dead_gens: &dead_gens,
+    };
+    let stage_watch = StageWatch {
+        chain,
+        group_sizes,
+        transport: cfg.transport,
+        queue_depth: cfg.queue_depth,
+        sent: &shared.sent,
+        faults,
+        beats,
+        scr_work,
     };
 
     // Packet-request dispatch (IRQ splitting): the dispatcher steers on
@@ -2115,6 +2304,7 @@ pub fn process_parallel_faulty(
                     s.spawn(move || {
                         chain_worker_loop(
                             slot,
+                            0,
                             0,
                             my_group,
                             rx,
@@ -2197,7 +2387,7 @@ pub fn process_parallel_faulty(
         // dispatcher thread, retagged onto fresh recovery lanes so the
         // merger's per-lane FIFO assumption holds (earlier batches for
         // the original lane may still sit in the worker's queue).
-        let process_inline = |d: &mut Dispatcher<'_>, tx: &mut MergeTx, batch: Batch| {
+        let process_inline = |d: &mut Dispatcher<'_, 'f>, tx: &mut MergeTx, batch: Batch<'f>| {
             let batch = d.retag(batch);
             d.inline_batches += 1;
             d.inline_packets += batch.len() as u64;
@@ -2209,10 +2399,10 @@ pub fn process_parallel_faulty(
                     lock_policy(policy_cell).observe(tag.id, hash, tag.lane, batch.len());
                 }
             }
-            let mut results = Vec::with_capacity(batch.len());
-            for (tag, frame) in batch {
-                results.push((tag, apply_scr(process_frame(&frame), scr_work)));
-            }
+            let results: Run = batch
+                .into_iter()
+                .map(|(tag, frame)| (tag, apply_scr(process_frame(frame), scr_work)))
+                .collect();
             shared.sent.fetch_add(results.len() as u64, Ordering::Relaxed);
             let _ = tx.send_all(results);
         };
@@ -2233,8 +2423,8 @@ pub fn process_parallel_faulty(
         let mut tag_lane = 0usize;
         let mut cur_hash = 0u32;
         let mut depth_snap = vec![0usize; n_lanes];
-        let mut batch: Batch = Vec::with_capacity(cfg.batch_size);
-        let mut delayed: Vec<(u64, Batch)> = Vec::new();
+        let mut batch: Batch<'f> = Vec::with_capacity(cfg.batch_size);
+        let mut delayed: Vec<(u64, Batch<'f>)> = Vec::new();
         let n = frames.len();
         for (i, frame) in frames.iter().enumerate() {
             let last = batch.len() + 1 == cfg.batch_size || i + 1 == n;
@@ -2270,7 +2460,7 @@ pub fn process_parallel_faulty(
                         lane: tag_lane,
                         last,
                     },
-                    frame.clone(),
+                    frame,
                 ));
             }
             if last {
@@ -2300,7 +2490,7 @@ pub fn process_parallel_faulty(
                         lock_policy(policy_cell).observe(mf_id, cur_hash, lane, placed);
                     }
                 }
-                let due: Vec<Batch> = {
+                let due: Vec<Batch<'f>> = {
                     let mut rest = Vec::new();
                     let mut ready = Vec::new();
                     for (at, b) in delayed.drain(..) {
@@ -2337,7 +2527,7 @@ pub fn process_parallel_faulty(
                                 sup.note_death(slot, now, i as u64);
                                 if sup.allow_respawn(slot, now) {
                                     let (tx, rx) =
-                                        spsc_lane::<Batch>(cfg.transport, cfg.queue_depth);
+                                        spsc_lane::<Batch<'f>>(cfg.transport, cfg.queue_depth);
                                     let mtx = merge_wiring.new_tx();
                                     let inc = sup.on_respawn(slot, now, i as u64);
                                     d.revive(slot, tx);
@@ -2374,7 +2564,8 @@ pub fn process_parallel_faulty(
                         if d.lane_dead(0) {
                             sup.note_death(0, now, i as u64);
                             if sup.allow_respawn(0, now) {
-                                let (tx, rx) = spsc_lane::<Batch>(cfg.transport, cfg.queue_depth);
+                                let (tx, rx) =
+                                    spsc_lane::<Batch<'f>>(cfg.transport, cfg.queue_depth);
                                 let mtx = merge_wiring.new_tx();
                                 let inc = sup.on_respawn(0, now, i as u64);
                                 d.revive(0, tx);
@@ -2398,69 +2589,8 @@ pub fn process_parallel_faulty(
                                 ));
                             }
                         }
-                        // Interior and tail stages: watched through their
-                        // upstream link slot. A death is either flagged by
-                        // the upstream's bounced send (generation-matched)
-                        // or declared here on a stale heartbeat.
-                        for (slot, &my_group) in group_sizes.iter().enumerate().skip(1) {
-                            let cur_gen =
-                                chain.slots[slot - 1].lock().expect("chain slot lock").gen;
-                            let mut dead =
-                                chain.dead_gens[slot].load(Ordering::Acquire) == cur_gen;
-                            if !dead
-                                && sup.stale(slot, beats.read(slot), now)
-                                && chain.link_depths[slot].load(Ordering::Relaxed) > 0
-                            {
-                                // Stalled: cut the link so the upstream
-                                // completes batches locally until the
-                                // replacement is wired in.
-                                sup.heartbeat_misses += 1;
-                                let mut link =
-                                    chain.slots[slot - 1].lock().expect("chain slot lock");
-                                link.gen += 1;
-                                link.tx = None;
-                                dead = true;
-                            }
-                            if dead {
-                                sup.note_death(slot, now, i as u64);
-                                if sup.allow_respawn(slot, now) {
-                                    // Re-home the stage: fresh link, fresh
-                                    // merger sender, new incarnation. The
-                                    // generation bump invalidates any old
-                                    // sender still in flight upstream.
-                                    let (tx, rx) =
-                                        spsc_lane::<StageBatch>(cfg.transport, cfg.queue_depth);
-                                    {
-                                        let mut link = chain.slots[slot - 1]
-                                            .lock()
-                                            .expect("chain slot lock");
-                                        link.gen += 1;
-                                        link.tx = Some(tx);
-                                    }
-                                    chain.link_depths[slot].store(0, Ordering::Relaxed);
-                                    chain.dead_gens[slot].store(u64::MAX, Ordering::Release);
-                                    let mtx = merge_wiring.new_tx();
-                                    let inc = sup.on_respawn(slot, now, i as u64);
-                                    handles.push((
-                                        slot,
-                                        s.spawn(move || {
-                                            chain_worker_loop(
-                                                slot,
-                                                inc,
-                                                my_group,
-                                                rx,
-                                                mtx,
-                                                &shared.sent,
-                                                faults,
-                                                beats,
-                                                chain,
-                                                scr_work,
-                                            )
-                                        }),
-                                    ));
-                                }
-                            }
-                        }
+                        // Interior and tail stages.
+                        stage_watch.tend(s, &merge_wiring, &mut sup, 1, i as u64, &mut handles);
                     }
                 }
                 // The merger's own watchdog pass, on the same cadence:
@@ -2492,11 +2622,16 @@ pub fn process_parallel_faulty(
         let block_fallbacks = d.block_fallbacks;
         let backpressure_events = d.backpressure_events;
         let redispatched = d.finish();
-        // The dispatcher's merger sender — and the wiring handle that can
-        // mint more — go last: with them gone, the merger exits once the
-        // workers drain.
+        // The dispatch-side rate windows close here: a stage healed
+        // during teardown below dispatches no frames.
+        let recovery = sup.rates(start, dispatch_done, n as u64);
+        // The dispatcher's merger sender goes now. The wiring handle that
+        // can mint more goes too, except in a supervised chain run: there
+        // it stays until every stage has joined, so a stage that dies
+        // during teardown can still be healed. With both gone, the
+        // merger exits once the workers drain.
         drop(dispatch_tx);
-        drop(merge_wiring);
+        let teardown_wiring = (chain_len > 0 && supervised).then_some(merge_wiring);
 
         // Join workers first (they feed the merger); injected deaths
         // surface here as panics and are counted per slot, not
@@ -2509,7 +2644,11 @@ pub fn process_parallel_faulty(
             // Staged join, stage by stage down the chain: only after
             // every incarnation of stage `slot` has exited is its
             // outgoing link cut, so the next stage sees end-of-stream
-            // strictly after its upstream finished producing.
+            // strictly after its upstream finished producing. While
+            // `slot` drains, the stages below it are still watched: one
+            // that dies now (its upstream may have bypassed it for most
+            // of the run, so its injected death can come late) is healed
+            // like any other, and its new incarnation joins in turn.
             let mut remaining = handles;
             #[allow(clippy::needless_range_loop)] // indexes two arrays of different lengths
             for slot in 0..chain_len {
@@ -2517,8 +2656,13 @@ pub fn process_parallel_faulty(
                     remaining.into_iter().partition(|(owner, _)| *owner == slot);
                 remaining = rest;
                 for (_, h) in mine {
+                    let tend_below = |sup: &mut Supervisor| {
+                        if let Some(wiring) = &teardown_wiring {
+                            stage_watch.tend(s, wiring, sup, slot + 1, n as u64, &mut remaining);
+                        }
+                    };
                     if watch
-                        .join_tended(h, &mut sup, &mut merger_handles, n as u64)
+                        .join_tended(h, &mut sup, &mut merger_handles, n as u64, tend_below)
                         .is_err()
                     {
                         deaths_by_slot[slot] += 1;
@@ -2534,7 +2678,7 @@ pub fn process_parallel_faulty(
         } else {
             for (slot, h) in handles {
                 if watch
-                    .join_tended(h, &mut sup, &mut merger_handles, n as u64)
+                    .join_tended(h, &mut sup, &mut merger_handles, n as u64, |_| {})
                     .is_err()
                 {
                     deaths_by_slot[slot] += 1;
@@ -2546,6 +2690,7 @@ pub fn process_parallel_faulty(
                 }
             }
         }
+        drop(teardown_wiring);
         let workers_died: usize = deaths_by_slot.iter().map(|&d| d as usize).sum();
         let (workers_respawned, workers_abandoned) = sup.classify_deaths(&deaths_by_slot);
         let lane_depths: Vec<usize> =
@@ -2575,7 +2720,7 @@ pub fn process_parallel_faulty(
             sup.merger_recovery_ns,
             workers_respawned,
             workers_abandoned,
-            sup.rates(start, dispatch_done, n as u64),
+            recovery,
         );
         Ok((
             merger_deaths,
@@ -2639,13 +2784,13 @@ pub fn process_parallel_faulty(
     let mut state = dur.snapshot;
     let mut out = dur.out;
     let t = Instant::now();
-    for (tag, result) in dur.delta {
-        state.apply(tag, result, &mut out);
-    }
+    state.apply_all(&dur.delta, &mut out);
     if let Some(mut rx) = rx_slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        while let MergeRecv::Item((tag, result)) = rx.recv(None) {
-            state.apply(tag, result, &mut out);
+        let mut backlog = Vec::new();
+        while let MergeRecv::Item(item) = rx.recv(None) {
+            backlog.push(item);
         }
+        state.apply_all(&backlog, &mut out);
     }
     // End of stream: flush whatever loss left stuck so nothing stays
     // parked forever.
@@ -2722,7 +2867,7 @@ pub fn process_parallel_faulty(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{MergerKill, MergerStall, WorkerKill};
+    use crate::faults::{MergerKill, MergerStall, SlowWorker, WorkerKill};
     use crate::packet::generate_frames;
 
     /// Both transports, for exercising every scenario over each.
@@ -2951,6 +3096,68 @@ mod tests {
     }
 
     #[test]
+    fn a_rerouted_window_never_reuses_a_dead_workers_tag_lane() {
+        // Worker 1 emits batch 0 and dies; worker 0 dies holding batch 1.
+        // The bounce off lane 0 reroutes its window onto lane 1, which
+        // bounces too (that death is not yet discovered), so lane 1's
+        // window — batch 0, already emitted on tag lane 1 — is rerouted
+        // from inside a recovery send. It must still move to a fresh
+        // recovery lane: a second copy on tag lane 1 would merge as a
+        // continuation of the first, and if the micro-flow lost its
+        // closing packet the counter would release it twice.
+        let frames = generate_frames(3, 16);
+        let batch = |i: usize, lane: usize| -> Batch<'_> {
+            let tag = MfTag {
+                id: i as u64,
+                lane,
+                last: false,
+            };
+            vec![(tag, &frames[i])]
+        };
+        for transport in TRANSPORTS {
+            let cfg = RuntimeConfig {
+                workers: 3,
+                restart_budget: 1,
+                transport,
+                ..RuntimeConfig::default()
+            };
+            let depths: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
+            let mut rxs = Vec::new();
+            let lanes = (0..3)
+                .map(|tag_lane| {
+                    let (tx, rx) = spsc_lane::<Batch<'_>>(transport, cfg.queue_depth);
+                    rxs.push(Some(rx));
+                    Lane {
+                        tx: Some(tx),
+                        recent: VecDeque::new(),
+                        tag_lane,
+                    }
+                })
+                .collect();
+            let mut d = Dispatcher::new(lanes, &RuntimeFaults::none(), &cfg, &depths, false);
+            d.send_retained(1, batch(0, 1));
+            rxs[1] = None;
+            d.send_retained(0, batch(1, 0));
+            rxs[0] = None;
+            d.send_retained(0, batch(2, 0));
+            let mut survivor = rxs[2].take().expect("lane 2 stays live");
+            drop(d);
+            let mut got = Vec::new();
+            while let Some(b) = survivor.recv() {
+                got.extend(b.iter().map(|(tag, f)| (f.seq, tag.lane)));
+            }
+            // (A bounced send also sits in its lane's window, so batch 2
+            // arrives twice, on two recovery lanes.)
+            let seqs: std::collections::BTreeSet<u64> = got.iter().map(|&(seq, _)| seq).collect();
+            assert_eq!(seqs, [0, 1, 2].into(), "{transport:?}");
+            assert!(
+                got.iter().all(|&(_, lane)| lane >= 3),
+                "a redispatched batch kept a worker's tag lane: {got:?} ({transport:?})"
+            );
+        }
+    }
+
+    #[test]
     fn zero_workers_rejected() {
         let cfg = RuntimeConfig {
             workers: 0,
@@ -3174,6 +3381,110 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn chain_stage_dying_after_dispatch_is_still_healed() {
+        // Queues deep enough to take the whole stream, so the dispatcher
+        // is done within a millisecond; a slow interior stage then paces
+        // the tail, whose death comes long after the last dispatch-loop
+        // watchdog pass. The interior's next forward bounces and flags
+        // it, and the staged join must heal it as the dispatch loop
+        // would have.
+        let frames = generate_frames(40 * 32, 32);
+        let mut faults = RuntimeFaults::none();
+        faults.kill = Some(WorkerKill {
+            worker: 2,
+            after_batches: 10,
+            incarnation: 0,
+        });
+        faults.slow_worker = Some(SlowWorker {
+            worker: 1,
+            per_batch_us: 2_000,
+        });
+        faults.flush_timeout_ms = Some(50);
+        for transport in TRANSPORTS {
+            let cfg = RuntimeConfig {
+                workers: 3,
+                batch_size: 32,
+                queue_depth: 64,
+                policy: PolicyKind::FalconFunc,
+                restart_budget: 4,
+                restart_backoff_ms: 1,
+                transport,
+                ..RuntimeConfig::default()
+            };
+            let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+            assert_eq!(out.workers_died, 1, "{transport:?}");
+            assert_eq!(out.telemetry.restarts, 1, "{transport:?}");
+            assert_eq!(out.workers_respawned, 1, "{transport:?}");
+            assert_eq!(out.workers_abandoned, 0, "{transport:?}");
+            assert_eq!(out.telemetry.residue, 0, "{transport:?}");
+            for pair in out.digests.windows(2) {
+                assert!(pair[0].seq < pair[1].seq, "disorder ({transport:?})");
+            }
+        }
+    }
+
+    #[test]
+    fn a_dying_chain_stage_flags_its_own_death() {
+        // Stage 1 of a chain, wired to link generation 5. Killed on its
+        // first batch, it must flag generation 5 as it unwinds; drained
+        // to a clean end of stream, it must flag nothing.
+        let frames = generate_frames(1, 16);
+        let mut faults = RuntimeFaults::none();
+        faults.kill = Some(WorkerKill {
+            worker: 1,
+            after_batches: 0,
+            incarnation: 0,
+        });
+        for killed in [true, false] {
+            let slots = [
+                Mutex::new(ChainSlot { gen: 5, tx: None }),
+                Mutex::new(ChainSlot { gen: 0, tx: None }),
+            ];
+            let link_depths = [AtomicUsize::new(0), AtomicUsize::new(0)];
+            let dead_gens = [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)];
+            let chain = ChainCtx {
+                slots: &slots,
+                link_depths: &link_depths,
+                dead_gens: &dead_gens,
+            };
+            let (merge_tx, _merge_rx) = mpsc::sync_channel::<Run>(4);
+            let (mut link_tx, link_rx) = spsc_lane::<StageBatch<'_>>(Transport::Mpsc, 4);
+            let (sent, beats) = (AtomicU64::new(0), HeartbeatBoard::new(2));
+            let died = thread::scope(|s| {
+                let stage = s.spawn(|| {
+                    chain_worker_loop(
+                        1,
+                        0,
+                        5,
+                        1,
+                        link_rx,
+                        MergeTx::Mpsc(merge_tx),
+                        &sent,
+                        &faults,
+                        &beats,
+                        chain,
+                        None,
+                    )
+                });
+                if killed {
+                    let tag = MfTag {
+                        id: 0,
+                        lane: 0,
+                        last: true,
+                    };
+                    let _ = link_tx.send(vec![(tag, StagedWork::Raw(&frames[0]))]);
+                }
+                drop(link_tx);
+                stage.join().is_err()
+            });
+            assert_eq!(died, killed);
+            let want = if killed { 5 } else { u64::MAX };
+            let flagged = dead_gens[1].load(Ordering::Acquire);
+            assert_eq!(flagged, want, "killed {killed}");
         }
     }
 
@@ -3493,6 +3804,55 @@ mod tests {
                     let killed = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
                     assert_eq!(killed.digests, benign.digests, "{at}");
                     assert!(killed.merger_deaths >= 1, "{at}");
+                    let t = &killed.telemetry;
+                    assert!(t.restore_replayed_offers >= 1, "{at}");
+                    assert!(
+                        t.restore_replayed_offers <= checkpoint_every * (t.merger_restarts + 1),
+                        "replayed {} offers over {} restarts ({at})",
+                        t.restore_replayed_offers,
+                        t.merger_restarts
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merger_killed_mid_run_replays_exactly() {
+        // Results travel as one run per micro-flow (32 here), and the
+        // merger hands drains to the engine in pieces that stop only at
+        // offers where a hook fires. Kills on offers inside a run — on
+        // the first incarnation and on each successor — must still die
+        // on exactly that offer, leave the rest of the run staged in the
+        // leased receiver, and recover byte-identical output within the
+        // replay bound. The 100-offer interval lets one drain span
+        // several runs, so the kill also splits a drain mid-piece.
+        let frames = generate_frames(2_000, 32);
+        let mut faults = RuntimeFaults::none();
+        faults.merger_kills = [113, 169, 245]
+            .into_iter()
+            .zip(0..)
+            .map(|(after_offers, incarnation)| MergerKill {
+                after_offers,
+                incarnation,
+            })
+            .collect();
+        for checkpoint_every in [7, 1, 100] {
+            for stateful_mode in StatefulMode::ALL {
+                for transport in TRANSPORTS {
+                    let cfg = RuntimeConfig {
+                        merger_depth: 8192,
+                        stateful_mode,
+                        stateful_work: 8,
+                        heartbeat_interval_ms: Some(1_000),
+                        checkpoint_every,
+                        ..merger_test_cfg(transport)
+                    };
+                    let at = format!("every {checkpoint_every}, {stateful_mode:?}/{transport:?}");
+                    let benign = process_parallel(&frames, &cfg).unwrap();
+                    let killed = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+                    assert_eq!(killed.digests, benign.digests, "{at}");
+                    assert_eq!(killed.merger_deaths, 3, "{at}");
                     let t = &killed.telemetry;
                     assert!(t.restore_replayed_offers >= 1, "{at}");
                     assert!(

@@ -6,9 +6,10 @@
 //! generation time, and hands back a [`PktBuf`] — a reference-counted
 //! handle of `(pool, slot index, length)`, which is exactly the
 //! descriptor shape an IRQ core would enqueue for a splitting core.
-//! Every subsequent hop (dispatcher clone into a batch, retained-window
-//! copy for redispatch, duplicate-fault copy) is a refcount bump, not a
-//! byte copy; the final drop pushes the slot back on the free list.
+//! Cloning a handle is a refcount bump, not a byte copy; the final drop
+//! pushes the slot back on the free list. The pipeline itself borrows
+//! frames for the whole run instead of cloning them (DESIGN.md §14), so
+//! refcounts move only where callers keep handles of their own.
 //!
 //! Ownership rules (DESIGN.md §14):
 //!

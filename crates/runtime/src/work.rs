@@ -106,17 +106,17 @@ pub fn stateful_stage(r: PacketResult, units: u32) -> PacketResult {
 /// A packet part-way through the staged pipeline — the unit FALCON chain
 /// workers hand to the next hop after applying their stage group.
 ///
-/// Intermediate states keep the pooled frame handle and address the
-/// payload by range, so forwarding a batch down the chain moves
-/// descriptors, never payload bytes.
+/// Every state borrows the caller's frame and addresses the payload by
+/// range, so forwarding a batch down the chain moves references, never
+/// payload bytes or buffer refcounts.
 #[derive(Debug)]
-pub enum StagedWork {
+pub enum StagedWork<'f> {
     /// Untouched wire frame.
-    Raw(Frame),
+    Raw(&'f Frame),
     /// After parse: the payload located inside the frame's buffer.
     Parsed {
         /// The frame whose buffer holds the payload.
-        frame: Frame,
+        frame: &'f Frame,
         /// Payload offset into the frame bytes.
         off: u32,
         /// Payload length in bytes.
@@ -125,7 +125,7 @@ pub enum StagedWork {
     /// After checksum verification.
     Summed {
         /// The frame whose buffer holds the payload.
-        frame: Frame,
+        frame: &'f Frame,
         /// Payload offset into the frame bytes.
         off: u32,
         /// Payload length in bytes.
@@ -135,12 +135,12 @@ pub enum StagedWork {
     Done(PacketResult),
 }
 
-impl StagedWork {
+impl<'f> StagedWork<'f> {
     /// Applies the next pipeline stage; `Done` is a fixed point.
-    pub fn advance(self) -> StagedWork {
+    pub fn advance(self) -> StagedWork<'f> {
         match self {
             StagedWork::Raw(frame) => {
-                let (off, len) = parse_stage(&frame);
+                let (off, len) = parse_stage(frame);
                 StagedWork::Parsed {
                     frame,
                     off: off as u32,
@@ -160,7 +160,7 @@ impl StagedWork {
     }
 
     /// Applies the next `n` stages.
-    pub fn advance_n(self, n: usize) -> StagedWork {
+    pub fn advance_n(self, n: usize) -> StagedWork<'f> {
         (0..n).fold(self, |w, _| w.advance())
     }
 
@@ -223,7 +223,7 @@ mod tests {
             let whole = process_frame(f);
             // From every intermediate depth, completing must agree.
             for head in 0..=STAGES {
-                let staged = StagedWork::Raw(f.clone()).advance_n(head).complete();
+                let staged = StagedWork::Raw(f).advance_n(head).complete();
                 assert_eq!(staged, whole, "diverged after {head} staged steps");
             }
         }
@@ -233,17 +233,17 @@ mod tests {
     fn staged_work_shares_the_pooled_buffer() {
         let frames = generate_frames(1, 64);
         let pool = frames[0].buf().pool().unwrap();
-        let staged = StagedWork::Raw(frames[0].clone()).advance();
-        // Raw -> Parsed kept the same slot alive: no new allocation.
+        let staged = StagedWork::Raw(&frames[0]).advance();
+        // Raw -> Parsed allocated nothing and took no slot reference: the
+        // stage borrows the frame, so it reads the same pooled buffer.
         assert_eq!(pool.stats().misses, 0);
         match &staged {
             StagedWork::Parsed { frame, len, .. } => {
                 assert_eq!(*len, 64);
-                assert_eq!(frame.buf().slot(), frames[0].buf().slot());
+                assert!(std::ptr::eq(*frame, &frames[0]));
             }
             other => panic!("expected Parsed, got {other:?}"),
         }
-        drop(staged);
         drop(frames);
         assert_eq!(pool.in_flight(), 0);
     }

@@ -1,9 +1,9 @@
 //! Buffer-pool conservation: every slot handed out by the [`BufPool`]
-//! must come back, no matter how the run ends. The pipeline clones
-//! frame handles into batches, fault injection clones whole micro-flows
-//! onto recovery lanes, killed workers drop their queues on the floor,
-//! and backpressure shedding abandons batches mid-dispatch — after all
-//! of that, once the run output and the source frames are dropped, the
+//! must come back, no matter how the run ends. The pipeline borrows the
+//! frames into batches, fault injection copies whole micro-flows onto
+//! recovery lanes, killed workers drop their queues on the floor, and
+//! backpressure shedding abandons batches mid-dispatch — after all of
+//! that, once the run output and the source frames are dropped, the
 //! pool must report zero buffers in flight and a completely free slab.
 //!
 //! The same sweeps double as the packet-request equivalence suite: for
@@ -76,8 +76,8 @@ fn clean_runs_conserve_the_pool_and_match_serial() {
 fn chaos_kills_conserve_the_pool_in_both_dispatch_modes() {
     // Kill every worker plus the merger mid-run. Killed threads drop
     // their queued batches (and the merger its parked results) on the
-    // floor — each of those held cloned frame handles, and every one
-    // must release its slot as the wreckage unwinds.
+    // floor, and every slot must still come back once the frames are
+    // dropped.
     //
     // `merger_depth` must cover the whole result stream when a merger
     // kill is injected (the "pump idle" sizing every merger-kill suite
