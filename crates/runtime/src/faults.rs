@@ -162,15 +162,11 @@ pub struct RuntimeFaults {
     pub stall_rate: f64,
     /// Stall duration in milliseconds.
     pub stall_ms: u64,
-    /// Kill a worker mid-run.
-    pub kill: Option<WorkerKill>,
-    /// Additional kills beyond [`RuntimeFaults::kill`] — a chaos schedule
-    /// can target every slot (and respawned incarnations) in one run.
+    /// Worker kills — a chaos schedule can target every slot (and
+    /// respawned incarnations) in one run.
     pub kills: Vec<WorkerKill>,
-    /// Kill the merger mid-run.
-    pub merger_kill: Option<MergerKill>,
-    /// Additional merger kills — a multi-kill schedule can take down
-    /// successive incarnations (0, then 1, ...) in one run.
+    /// Merger kills — a multi-kill schedule can take down successive
+    /// incarnations (0, then 1, ...) in one run.
     pub merger_kills: Vec<MergerKill>,
     /// Wedge the merger with one long sleep at an offer count.
     pub merger_stall: Option<MergerStall>,
@@ -201,9 +197,7 @@ impl RuntimeFaults {
             late_by: 2,
             stall_rate: 0.0,
             stall_ms: 1,
-            kill: None,
             kills: Vec::new(),
-            merger_kill: None,
             merger_kills: Vec::new(),
             merger_stall: None,
             lane_stall: None,
@@ -220,7 +214,6 @@ impl RuntimeFaults {
             || self.dup_mf_rate > 0.0
             || self.late_mf_rate > 0.0
             || self.stall_rate > 0.0
-            || self.kill.is_some()
             || !self.kills.is_empty()
             || self.lane_stall.is_some()
             || self.slow_worker.is_some()
@@ -232,16 +225,14 @@ impl RuntimeFaults {
     /// lose its merger must journal offers even without a supervisor, so
     /// the degraded dispatcher-side merge can reconstruct the stream.
     pub fn merger_faults_active(&self) -> bool {
-        self.merger_kill.is_some() || !self.merger_kills.is_empty() || self.merger_stall.is_some()
+        !self.merger_kills.is_empty() || self.merger_stall.is_some()
     }
 
     /// Whether a kill is scheduled to fire for this `(worker, incarnation)`
-    /// once it has processed `processed` batches. Checks both the single
-    /// [`RuntimeFaults::kill`] slot and the [`RuntimeFaults::kills`] list.
+    /// once it has processed `processed` batches.
     pub fn kill_fires(&self, worker: usize, incarnation: u64, processed: u64) -> bool {
-        self.kill
+        self.kills
             .iter()
-            .chain(self.kills.iter())
             .any(|k| k.worker == worker && k.incarnation == incarnation && processed >= k.after_batches)
     }
 
@@ -251,9 +242,8 @@ impl RuntimeFaults {
     /// incarnation replayed from the delta log (replay performs no fault
     /// checks) fires on its first fresh offer instead of being lost.
     pub fn merger_kill_fires(&self, incarnation: u64, offers: u64) -> bool {
-        self.merger_kill
+        self.merger_kills
             .iter()
-            .chain(self.merger_kills.iter())
             .any(|k| k.incarnation == incarnation && offers >= k.after_offers)
     }
 
@@ -272,9 +262,8 @@ impl RuntimeFaults {
     /// handing offers to the engine in bulk and run its per-offer hooks.
     pub(crate) fn next_merger_hook(&self, incarnation: u64, from: u64, to: u64) -> Option<u64> {
         let kill = self
-            .merger_kill
+            .merger_kills
             .iter()
-            .chain(self.merger_kills.iter())
             .filter(|k| k.incarnation == incarnation)
             .map(|k| k.after_offers.max(from))
             .min();
@@ -354,11 +343,11 @@ mod tests {
     #[test]
     fn kill_alone_makes_it_active() {
         let mut f = RuntimeFaults::none();
-        f.kill = Some(WorkerKill {
+        f.kills = vec![WorkerKill {
             worker: 0,
             after_batches: 5,
             incarnation: 0,
-        });
+        }];
         assert!(f.is_active());
         let mut f = RuntimeFaults::none();
         f.kills.push(WorkerKill {
@@ -404,10 +393,10 @@ mod tests {
     fn merger_faults_make_it_active() {
         let mut f = RuntimeFaults::none();
         assert!(!f.merger_faults_active());
-        f.merger_kill = Some(MergerKill {
+        f.merger_kills = vec![MergerKill {
             after_offers: 10,
             incarnation: 0,
-        });
+        }];
         assert!(f.merger_faults_active());
         assert!(f.is_active());
         let mut f = RuntimeFaults::none();

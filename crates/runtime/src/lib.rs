@@ -21,6 +21,8 @@
 //! assert_eq!(serial.digests, parallel.digests);
 //! ```
 
+#![warn(clippy::too_many_lines)]
+
 pub mod faults;
 pub mod packet;
 pub mod pipeline;

@@ -113,10 +113,10 @@ fn chaos_kills_conserve_the_pool_in_both_dispatch_modes() {
                     incarnation: 0,
                 });
             }
-            faults.merger_kill = Some(MergerKill {
+            faults.merger_kills = vec![MergerKill {
                 after_offers: 40,
                 incarnation: 0,
-            });
+            }];
             faults.flush_timeout_ms = Some(40);
             let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
             assert_eq!(out.workers_died, workers, "{ctx}: every kill must fire");

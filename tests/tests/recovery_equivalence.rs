@@ -286,10 +286,10 @@ fn degraded_paths_still_deliver_the_benign_stream() {
                 process_parallel_faulty(&frames, &supervised, &RuntimeFaults::none()).unwrap();
 
             let mut one_kill = RuntimeFaults::none();
-            one_kill.merger_kill = Some(MergerKill {
+            one_kill.merger_kills = vec![MergerKill {
                 after_offers: 100,
                 incarnation: 0,
-            });
+            }];
 
             let unsupervised = RuntimeConfig {
                 heartbeat_interval_ms: None,

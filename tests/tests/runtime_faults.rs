@@ -147,11 +147,11 @@ fn stress_matrix_survives_loss_dups_lates_stalls_and_a_killed_worker() {
             late_by: 3,
             stall_rate: 0.1,
             stall_ms: 1,
-            kill: Some(WorkerKill {
+            kills: vec![WorkerKill {
                 worker: 0,
                 after_batches: 4,
                 incarnation: 0,
-            }),
+            }],
             flush_timeout_ms: Some(40),
             ..RuntimeFaults::none()
         };
@@ -182,11 +182,11 @@ fn killed_worker_is_reported_and_its_queue_redispatched() {
             ..RuntimeConfig::default()
         };
         let mut faults = RuntimeFaults::none();
-        faults.kill = Some(WorkerKill {
+        faults.kills = vec![WorkerKill {
             worker: 1,
             after_batches: 3,
             incarnation: 0,
-        });
+        }];
         faults.flush_timeout_ms = Some(40);
         let out = check_degraded(&frames, &cfg, &faults);
         // With ~37 batches headed at the doomed lane the kill always
@@ -286,11 +286,11 @@ fn degradation_contract_holds_under_every_policy() {
                 dup_mf_rate: 0.05,
                 late_mf_rate: 0.05,
                 late_by: 2,
-                kill: Some(WorkerKill {
+                kills: vec![WorkerKill {
                     worker: 0,
                     after_batches: 5,
                     incarnation: 0,
-                }),
+                }],
                 flush_timeout_ms: Some(40),
                 ..RuntimeFaults::none()
             };

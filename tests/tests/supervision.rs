@@ -13,8 +13,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use mflow_runtime::{
-    generate_frames, process_parallel_faulty, process_serial, FaultLog, Frame, MergerKill,
-    PolicyKind, RuntimeConfig, RuntimeFaults, Transport, WorkerKill,
+    generate_frames, process_parallel_faulty, process_serial, BackpressurePolicy, FaultLog, Frame,
+    LaneStall, MergerKill, PolicyKind, RuntimeConfig, RuntimeFaults, Transport, WorkerKill,
 };
 use proptest::prelude::*;
 
@@ -308,6 +308,57 @@ fn post_respawn_batches_merge_promptly_on_the_ring() {
          deadline instead of waking on the re-wired producer",
         out.elapsed
     );
+}
+
+#[test]
+fn stalled_worker_is_declared_once_and_loses_nothing() {
+    // A sustained stall (no kill, no drop) on every worker slot of a
+    // fan-out and of both chain shapes. The watchdog declares the slot
+    // stalled and routes around it while the stalled incarnation, still
+    // alive, keeps emitting older batches. Whatever stands in for it —
+    // redispatch on fan-out, local completion or a re-wired link on a
+    // chain — must ride fresh tag lanes, so the merger never sees a
+    // lane's FIFO order break and never discards a processed packet.
+    // Each stalled incarnation is one heartbeat miss, not one per pass.
+    let frames = generate_frames(20_000, 1024);
+    let serial = process_serial(&frames);
+    for policy in [PolicyKind::Mflow, PolicyKind::FalconDev, PolicyKind::FalconFunc] {
+        for worker in 0..policy.worker_slots(3) {
+            let faults = RuntimeFaults {
+                lane_stall: Some(LaneStall { worker, ms: 40 }),
+                flush_timeout_ms: Some(2_000),
+                ..RuntimeFaults::none()
+            };
+            for transport in TRANSPORTS {
+                for restart_budget in [0, 4] {
+                    let cfg = RuntimeConfig {
+                        workers: 3,
+                        batch_size: 16,
+                        queue_depth: 2,
+                        backpressure: BackpressurePolicy::Inline,
+                        policy,
+                        transport,
+                        heartbeat_interval_ms: Some(5),
+                        restart_budget,
+                        restart_backoff_ms: 1,
+                        ..RuntimeConfig::default()
+                    };
+                    let at = format!("{policy} slot {worker}, {transport:?}, budget {restart_budget}");
+                    let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+                    assert!(out.flushed_mfs.is_empty(), "{at}: flushed {:?}", out.flushed_mfs);
+                    assert!(out.digests == serial.digests, "{at}: output differs from serial");
+                    let t = &out.telemetry;
+                    assert!(
+                        t.heartbeat_misses
+                            <= t.restarts + t.merger_restarts + policy.worker_slots(3) as u64 + 1,
+                        "{at}: {} misses over {} restarts",
+                        t.heartbeat_misses,
+                        t.restarts
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
