@@ -29,6 +29,7 @@ pub mod pipeline;
 pub mod pool;
 pub mod ring;
 pub mod supervise;
+mod threads;
 pub mod work;
 
 pub use faults::{

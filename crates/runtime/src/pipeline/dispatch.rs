@@ -490,7 +490,7 @@ pub(super) fn dispatch<'f>(
                 k += 1;
             }
         }
-        tend(d, i as u64);
+        tend(d, i as u64 + 1);
         for b in std::mem::take(&mut d.orphans) {
             d.process_inline(ctx, &mut tx, b);
         }

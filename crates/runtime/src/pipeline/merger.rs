@@ -14,6 +14,7 @@ use mflow::{MergeCounter, MergeStats, ScrReconciler};
 
 use crate::faults::{FaultEvent, RuntimeFaults};
 use crate::supervise::{HeartbeatBoard, Supervisor};
+use crate::threads;
 use crate::work::{stateful_stage, PacketResult};
 
 use super::lane::{MergeRecv, MergeRx};
@@ -578,17 +579,17 @@ impl Merger<'_> {
 /// With the failure domain unarmed (`wal_on` off) every pass is a no-op
 /// and the single merger incarnation runs to end of stream on its own.
 pub(super) struct MergerWatch<'s, 'e> {
-    s: &'s thread::Scope<'s, 'e>,
+    s: &'s threads::Scope<'s, 'e>,
     merger: Merger<'e>,
     merger_depth: usize,
     supervised: bool,
-    handles: Vec<thread::ScopedJoinHandle<'s, ()>>,
+    handles: Vec<threads::ScopedJoinHandle<'s, ()>>,
 }
 
 impl<'s, 'e> MergerWatch<'s, 'e> {
     /// Spawns merger incarnation 0 and returns its watchdog.
     pub(super) fn start(
-        s: &'s thread::Scope<'s, 'e>,
+        s: &'s threads::Scope<'s, 'e>,
         merger: Merger<'e>,
         merger_depth: usize,
         supervised: bool,
@@ -670,7 +671,7 @@ impl<'s, 'e> MergerWatch<'s, 'e> {
     /// (the chain-stage watchdog during a staged join).
     pub(super) fn join_tended(
         &mut self,
-        h: thread::ScopedJoinHandle<'s, ()>,
+        h: threads::ScopedJoinHandle<'s, ()>,
         sup: &mut Supervisor,
         frames_done: u64,
         mut also: impl FnMut(&mut Supervisor),

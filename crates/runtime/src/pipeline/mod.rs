@@ -115,9 +115,13 @@
 //!   worker incarnation and runs the worker watchdog.
 //! * `merger` — the merger failure domain: ordering engine, WAL,
 //!   merger loop and watchdog, final assembly.
+//! * `crate::threads` (outside this directory) — the process-wide pool
+//!   every worker, chain stage and merger incarnation runs on, behind a
+//!   `std::thread::scope`-shaped API, so a call wakes parked threads
+//!   instead of spawning and joining fresh ones.
 //!
 //! This file holds the public surface and [`process_parallel_faulty`],
-//! which composes the four.
+//! which composes the four on the pool.
 
 mod dispatch;
 mod lane;
@@ -126,7 +130,6 @@ mod worker;
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use mflow::{ElephantConfig, MfTag, MflowLanes, StatefulMode};
@@ -137,6 +140,7 @@ use mflow_steering::{build_baseline, PolicyKind, SteeringPolicy};
 use crate::faults::RuntimeFaults;
 use crate::packet::Frame;
 use crate::supervise::{HeartbeatBoard, Supervisor};
+use crate::threads;
 use crate::work::{process_frame, stage_group_sizes, stateful_stage, PacketResult, StagedWork};
 
 use dispatch::{dispatch, Dispatcher};
@@ -676,7 +680,7 @@ pub fn process_parallel_faulty<'f>(
     let pool_before = frame_pool.as_ref().map(|p| p.stats());
     let n = frames.len() as u64;
 
-    let (counters, sup, recovery, deaths, merger_deaths) = thread::scope(|s| {
+    let (counters, sup, recovery, deaths, merger_deaths) = threads::scope(|s| {
         let (mut crew, lanes) = Crew::start(s, ctx, cfg, supervised, wiring);
         let mut watch = MergerWatch::start(s, merger, cfg.merger_depth, supervised);
         // One supervision slot per worker plus the merger's; the respawn
@@ -1011,6 +1015,44 @@ mod tests {
     }
 
     #[test]
+    fn recovery_windows_cover_whole_micro_flows() {
+        // The watchdog runs only between micro-flows, so with no dispatch
+        // drops the frames dispatched before the first death, and those
+        // before the last respawn, are whole batches.
+        let batch_size = 32;
+        let frames = generate_frames(batch_size * 64, 32);
+        let n = frames.len() as u64;
+        let mut faults = RuntimeFaults::none();
+        faults.kills = vec![WorkerKill {
+            worker: 0,
+            after_batches: 4,
+            incarnation: 0,
+        }];
+        for transport in TRANSPORTS {
+            let cfg = RuntimeConfig {
+                batch_size,
+                transport,
+                restart_budget: 4,
+                restart_backoff_ms: 0,
+                ..RuntimeConfig::default()
+            };
+            let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+            assert_eq!(out.workers_died, 1, "{transport:?}");
+            assert_eq!(out.workers_respawned, 1, "{transport:?}");
+            let r = out.recovery;
+            assert!(r.prefault_frames > 0, "{transport:?}: {r:?}");
+            let healed = n - r.recovered_frames;
+            for (what, frames) in [("prefault", r.prefault_frames), ("healed", healed)] {
+                assert_eq!(
+                    frames % batch_size as u64,
+                    0,
+                    "{transport:?}: {what} window ends mid-micro-flow: {r:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn a_rerouted_window_never_reuses_a_dead_workers_tag_lane() {
         // Worker 1 emits batch 0 and dies; worker 0 dies holding batch 1.
         // The bounce off lane 0 reroutes its window onto lane 1, which
@@ -1179,15 +1221,30 @@ mod tests {
         assert!(cfg.validate().is_ok());
     }
 
+    /// Worker 0 takes an extra 500 µs per batch, so its lane holds a
+    /// queued batch whenever the dispatcher comes round to it again. The
+    /// backpressure tests below need that lag; workers on parked pool
+    /// threads wake fast enough to keep up with the dispatcher unaided.
+    fn lagging_worker() -> RuntimeFaults {
+        RuntimeFaults {
+            slow_worker: Some(SlowWorker {
+                worker: 0,
+                per_batch_us: 500,
+            }),
+            ..RuntimeFaults::none()
+        }
+    }
+
     #[test]
     fn inline_policy_keeps_output_exact() {
-        // A watermark of 1 engages the policy on nearly every send; with
-        // `Inline` every engaged batch is processed on the dispatcher
-        // thread and the output must still equal the serial run exactly.
+        // A watermark of 1 engages the policy on nearly every send to the
+        // lagging lane; with `Inline` every engaged batch is processed on
+        // the dispatcher thread and the output must still equal the
+        // serial run exactly.
         let frames = generate_frames(2_000, 64);
         let serial = process_serial(&frames);
         for transport in TRANSPORTS {
-            let out = process_parallel(
+            let out = process_parallel_faulty(
                 &frames,
                 &RuntimeConfig {
                     workers: 2,
@@ -1198,6 +1255,7 @@ mod tests {
                     transport,
                     ..RuntimeConfig::default()
                 },
+                &lagging_worker(),
             )
             .unwrap();
             assert_eq!(out.digests, serial.digests);
@@ -1208,12 +1266,13 @@ mod tests {
 
     #[test]
     fn drop_tail_with_zero_budget_blocks_instead() {
-        // Budget 0 can never shed, so every engagement falls back to a
-        // blocking send: output stays exact and fallbacks are counted.
+        // Budget 0 can never shed, so every engagement (on the lagging
+        // lane) falls back to a blocking send: output stays exact and
+        // fallbacks are counted.
         let frames = generate_frames(1_000, 64);
         let serial = process_serial(&frames);
         for transport in TRANSPORTS {
-            let out = process_parallel(
+            let out = process_parallel_faulty(
                 &frames,
                 &RuntimeConfig {
                     workers: 2,
@@ -1224,6 +1283,7 @@ mod tests {
                     transport,
                     ..RuntimeConfig::default()
                 },
+                &lagging_worker(),
             )
             .unwrap();
             assert_eq!(out.digests, serial.digests);
@@ -1391,7 +1451,7 @@ mod tests {
                 pkt_req: false,
                 tag_lanes: &tag_lanes,
             };
-            let died = thread::scope(|s| {
+            let died = threads::scope(|s| {
                 let stage =
                     s.spawn(|| ctx.serve(1, 0, Intake::Link(link_rx, 5), LaneTx::Mpsc(merge_tx)));
                 if killed {

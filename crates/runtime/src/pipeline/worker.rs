@@ -13,6 +13,7 @@ use mflow::MfTag;
 
 use crate::faults::{FaultEvent, RuntimeFaults};
 use crate::supervise::{HeartbeatBoard, Supervisor};
+use crate::threads;
 use crate::work::{process_frame, stateful_stage, PacketResult, StagedWork};
 
 use super::dispatch::{Dispatcher, Lane};
@@ -343,7 +344,7 @@ impl Drop for StageDeathFlag<'_> {
 /// The worker pool of one run: spawns every worker incarnation, runs the
 /// worker watchdog, and joins the pool at teardown.
 pub(super) struct Crew<'s, 'e, 'f> {
-    s: &'s thread::Scope<'s, 'e>,
+    s: &'s threads::Scope<'s, 'e>,
     ctx: Ctx<'e, 'f>,
     transport: Transport,
     queue_depth: usize,
@@ -355,7 +356,7 @@ pub(super) struct Crew<'s, 'e, 'f> {
     wiring: Option<MergeWiring>,
     /// Handles tagged with their slot, so join-time panics are
     /// attributed per slot even after respawns reorder the list.
-    handles: Vec<(usize, thread::ScopedJoinHandle<'s, ()>)>,
+    handles: Vec<(usize, threads::ScopedJoinHandle<'s, ()>)>,
 }
 
 impl<'s, 'e, 'f> Crew<'s, 'e, 'f> {
@@ -364,7 +365,7 @@ impl<'s, 'e, 'f> Crew<'s, 'e, 'f> {
     /// chain mode), then one per interior or tail chain stage, each fed
     /// through a shared, re-wireable link. Returns the dispatcher's lanes.
     pub(super) fn start(
-        s: &'s thread::Scope<'s, 'e>,
+        s: &'s threads::Scope<'s, 'e>,
         ctx: Ctx<'e, 'f>,
         cfg: &RuntimeConfig,
         supervised: bool,
